@@ -2,7 +2,32 @@
 
 #include "analysis/Governor.h"
 
+#include "support/Parse.h"
+
+#include <cstring>
+
 namespace velo {
+
+bool parseLimitFlag(const std::string &Arg, GovernorLimits &L, bool &Valid) {
+  static const struct {
+    const char *Prefix;
+    uint64_t GovernorLimits::*Field;
+    uint64_t Scale;
+  } Flags[] = {{"--max-events=", &GovernorLimits::MaxEvents, 1},
+               {"--max-live-nodes=", &GovernorLimits::MaxLiveNodes, 1},
+               {"--max-memory-mb=", &GovernorLimits::MaxMemoryBytes,
+                1024 * 1024},
+               {"--deadline-ms=", &GovernorLimits::DeadlineMillis, 1}};
+  for (const auto &F : Flags)
+    if (Arg.rfind(F.Prefix, 0) == 0) {
+      uint64_t V = 0;
+      Valid = parseU64(Arg.c_str() + std::strlen(F.Prefix), V);
+      if (Valid)
+        L.*F.Field = V * F.Scale;
+      return true;
+    }
+  return false;
+}
 
 void GovernedAnalysis::beginAnalysis(const SymbolTable &Syms) {
   Backend::beginAnalysis(Syms);

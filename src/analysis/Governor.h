@@ -47,6 +47,17 @@ struct GovernorLimits {
   }
 };
 
+/// Every tool's default live-node cap. Graph slots are a 16-bit space
+/// (Step::MaxSlots), so runaway traces degrade to the vector-clock spare
+/// before they exhaust it.
+inline constexpr uint64_t DefaultMaxLiveNodes = 60000;
+
+/// One of the governor cap flags every tool shares: --max-events=N,
+/// --max-live-nodes=N, --max-memory-mb=N or --deadline-ms=N. Returns
+/// false when Arg is none of them; otherwise sets Valid to whether its
+/// value parsed and, if so, stores it into L.
+bool parseLimitFlag(const std::string &Arg, GovernorLimits &L, bool &Valid);
+
 enum class GovernorState {
   Normal,    ///< primary (and fallback) running
   Degraded,  ///< primary dropped; fallback carries the verdict

@@ -2,112 +2,37 @@
 
 #include "serve/Session.h"
 
-#include "aero/AeroDrome.h"
 #include "analysis/Snapshot.h"
-#include "atomizer/Atomizer.h"
-#include "core/BasicVelodrome.h"
-#include "core/Velodrome.h"
-#include "eraser/Eraser.h"
-#include "hbrace/HbRaceDetector.h"
-
-#include <cstdio>
+#include "analysis/Stack.h"
 
 namespace velo {
 namespace serve {
 
-// The full backend roster, constructed exactly as runAnalysis does so the
-// warning lists (and therefore the report bytes) cannot drift from the
-// CLI's. Selection only controls membership in Reporting/Delivery.
+// Built by the same AnalysisStack as velodrome-check, from the same
+// defaults, so the warning lists (and therefore the report bytes) cannot
+// drift from the CLI's.
 struct Session::Pipeline {
-  Velodrome Velo;
-  BasicVelodrome Basic;
-  AeroDrome Aero;
-  Atomizer Atom;
-  Eraser Race;
-  HbRaceDetector Hb;
-
-  std::vector<Backend *> Reporting; ///< report table order
-  std::vector<Backend *> Delivery;  ///< governor stands in for its pair
-  Backend *Primary = nullptr;
-  Backend *Fallback = nullptr;
-  bool Governed = false;
-  std::unique_ptr<GovernedAnalysis> Gov;
-
+  AnalysisStack Stack;
   SymbolTable Syms;
   TraceSanitizer San;
   std::vector<Event> Scratch;
-
-  uint64_t EventsSeen = 0;
-  uint32_t ThreadsSeen = 0;
   bool Stopped = false; ///< governor exhausted: drop the rest of the stream
 
   explicit Pipeline(const SessionConfig &C)
-      : Velo(VelodromeOptions()),
-        San(C.Lenient ? SanitizeMode::Lenient : SanitizeMode::Strict) {}
+      : San(C.Lenient ? SanitizeMode::Lenient : SanitizeMode::Strict) {}
 };
 
 Session::Session() = default;
 Session::~Session() = default;
 
 bool Session::buildPipeline(std::string &Err) {
-  const std::string &Sel = Config.BackendSel;
-  bool RunVelo = Sel == "velodrome" || Sel == "all";
-  bool RunBasic = Sel == "basic" || Sel == "all";
-  bool RunAero = Sel == "aero" || Sel == "all";
-  bool RunAtom = Sel == "atomizer" || Sel == "all";
-  bool RunEraser = Sel == "eraser" || Sel == "all";
-  bool RunHb = Sel == "hb" || Sel == "all";
-  if (!(RunVelo || RunBasic || RunAero || RunAtom || RunEraser || RunHb)) {
-    Err = "unknown backend: " + Sel;
+  auto P = std::make_unique<Pipeline>(Config);
+  StackOptions Opts;
+  Opts.Limits = Config.Limits;
+  if (!P->Stack.build(Config.BackendSel, Opts, Err))
     return false;
-  }
-
-  Pipe = std::make_unique<Pipeline>(Config);
-  Pipeline &P = *Pipe;
-  if (RunVelo)
-    P.Reporting.push_back(&P.Velo);
-  if (RunBasic)
-    P.Reporting.push_back(&P.Basic);
-  if (RunAero)
-    P.Reporting.push_back(&P.Aero);
-  if (RunAtom)
-    P.Reporting.push_back(&P.Atom);
-  if (RunEraser)
-    P.Reporting.push_back(&P.Race);
-  if (RunHb)
-    P.Reporting.push_back(&P.Hb);
-
-  P.Primary = RunVelo    ? static_cast<Backend *>(&P.Velo)
-              : RunBasic ? static_cast<Backend *>(&P.Basic)
-              : RunAero  ? static_cast<Backend *>(&P.Aero)
-                         : nullptr;
-  P.Fallback = RunAero && P.Primary != &P.Aero
-                   ? static_cast<Backend *>(&P.Aero)
-                   : nullptr;
-  GovernedAnalysis::Probe Probe;
-  GovernedAnalysis::FailProbe FailProbe;
-  if (P.Primary == &P.Velo) {
-    Velodrome *Velo = &P.Velo;
-    Probe = [Velo](uint64_t &Nodes, uint64_t &Bytes) {
-      Nodes = Velo->graph().nodesAlive();
-      Bytes = Nodes * 256;
-    };
-    FailProbe = [Velo]() -> std::string {
-      return Velo->graphExhausted() ? "happens-before graph node slot space "
-                                      "exhausted"
-                                    : "";
-    };
-  }
-  P.Governed = P.Primary != nullptr && Config.Limits.any();
-  P.Gov = std::make_unique<GovernedAnalysis>(
-      P.Governed ? *P.Primary : P.Velo, P.Fallback, Config.Limits,
-      std::move(Probe), std::move(FailProbe));
-
-  if (P.Governed)
-    P.Delivery.push_back(P.Gov.get());
-  for (Backend *B : P.Reporting)
-    if (!P.Governed || (B != P.Primary && B != P.Fallback))
-      P.Delivery.push_back(B);
+  P->Stack.setNoteSink([this](const std::string &Text) { Notes += Text; });
+  Pipe = std::move(P);
   return true;
 }
 
@@ -115,36 +40,8 @@ bool Session::configure(const SessionConfig &C, std::string &Err) {
   Config = C;
   if (!buildPipeline(Err))
     return false;
-  for (Backend *B : Pipe->Delivery)
-    B->beginAnalysis(Pipe->Syms);
+  Pipe->Stack.begin(Pipe->Syms);
   return true;
-}
-
-void Session::deliver(const Event &E) {
-  Pipeline &P = *Pipe;
-  ++P.EventsSeen;
-  if (E.Thread >= P.ThreadsSeen)
-    P.ThreadsSeen = E.Thread + 1;
-  if ((E.Kind == Op::Fork || E.Kind == Op::Join) && E.child() >= P.ThreadsSeen)
-    P.ThreadsSeen = E.child() + 1;
-  // EventsSeen doubles as the sanitized-stream ordinal (serve never
-  // reduces, so delivered position == post-sanitizer position), and it is
-  // restored on rehydrate — warning coordinates survive eviction.
-  for (Backend *B : P.Delivery) {
-    B->setEventOrdinal(P.EventsSeen);
-    B->onEvent(E);
-  }
-  // Same rule as the CLI: once the governor leaves Normal, the reference
-  // checker (no GC, quadratic cycle checks) is dropped from delivery; its
-  // warnings up to this point are kept.
-  if (P.Governed && P.Gov->state() != GovernorState::Normal)
-    for (size_t I = 0; I < P.Delivery.size(); ++I)
-      if (P.Delivery[I] == &P.Basic) {
-        P.Delivery.erase(P.Delivery.begin() + I);
-        Notes += "governor: stopped the reference checker "
-                 "(Velodrome(basic), no GC) after the cap breach\n";
-        break;
-      }
 }
 
 bool Session::feed(const Event &E, std::string &Err) {
@@ -161,8 +58,11 @@ bool Session::feed(const Event &E, std::string &Err) {
     return false;
   }
   for (const Event &Out : P.Scratch) {
-    deliver(Out);
-    if (P.Governed && P.Gov->state() == GovernorState::Exhausted) {
+    // Serve never reduces, so the delivered position is the sanitized-stream
+    // ordinal; it is restored on rehydrate, so warning coordinates survive
+    // eviction.
+    P.Stack.deliver(Out, P.Stack.eventsSeen() + 1);
+    if (P.Stack.exhausted()) {
       P.Stopped = true;
       break;
     }
@@ -180,68 +80,31 @@ bool Session::finish(std::string &Err) {
   P.San.finish(P.Scratch);
   for (const Event &Out : P.Scratch)
     if (!P.Stopped)
-      deliver(Out);
-  for (Backend *B : P.Delivery)
-    B->endAnalysis();
+      P.Stack.deliver(Out, P.Stack.eventsSeen() + 1);
+  P.Stack.end();
   if (P.San.repairs().total() != 0)
     Notes += "lenient: repaired " + std::to_string(P.San.repairs().total()) +
              " event(s): " + P.San.repairs().summary() + "\n";
-  if (P.Governed && P.Gov->state() != GovernorState::Normal)
-    Notes += "governor: " + P.Gov->breachReason() +
-             (P.Gov->state() == GovernorState::Degraded
-                  ? "; fell back to the vector-clock checker (blame and "
-                    "error graphs unavailable)"
-                  : "; analysis stopped") +
-             "\n";
+  Notes += P.Stack.governorNote();
   Finished = true;
-  renderReport();
-  return true;
-}
 
-void Session::renderReport() {
-  Pipeline &P = *Pipe;
-  // Same manager as the CLI (src/report): the text rendering is
+  // Same manager and stack as the CLI: the text rendering is
   // byte-identical to velodrome-check's stdout, and Json/Sarif reuse the
   // identical findings, so the wire report cannot drift from the CLI's.
   ReportManager RM;
   RM.Run.Tool = "velodrome-serve";
   RM.Run.Trace = Config.Name;
-  RM.Run.Events = P.EventsSeen;
-  RM.Run.SanitizedEvents = P.EventsSeen;
-  RM.Run.Threads = P.ThreadsSeen;
-  for (Backend *B : P.Reporting)
-    RM.addSection(B->name(), B->warnings(), &P.Syms);
-
-  if (P.Governed) {
-    switch (P.Gov->verdict()) {
-    case GovernorVerdict::Violation:
-      RM.Run.Verdict = "NOT conflict-serializable";
-      Exit = 1;
-      break;
-    case GovernorVerdict::Unknown:
-      RM.Run.Verdict = "resource-limited: verdict unknown";
-      Exit = 3;
-      break;
-    case GovernorVerdict::Serializable:
-      RM.Run.Verdict = "serializable";
-      Exit = 0;
-      break;
-    }
-  } else {
-    const std::string &Sel = Config.BackendSel;
-    bool Violation = (Sel == "velodrome" || Sel == "all")
-                         ? P.Velo.sawViolation()
-                     : Sel == "basic" ? P.Basic.sawViolation()
-                     : Sel == "aero"  ? P.Aero.sawViolation()
-                                      : false;
-    RM.Run.Verdict = Violation ? "NOT conflict-serializable" : "serializable";
-    Exit = Violation ? 1 : 0;
-  }
-  RM.Run.ExitCode = Exit;
+  RM.Run.Events = P.Stack.eventsSeen();
+  RM.Run.SanitizedEvents = P.Stack.eventsSeen();
+  RM.Run.Threads = P.Stack.threadsSeen();
+  Exit = P.Stack.report(RM, &P.Syms);
   Report = RM.render(Config.Format);
+  return true;
 }
 
-uint64_t Session::eventsSeen() const { return Pipe ? Pipe->EventsSeen : Saved.EventsSeen; }
+uint64_t Session::eventsSeen() const {
+  return Pipe ? Pipe->Stack.eventsSeen() : EvictedEvents;
+}
 
 SymbolTable &Session::symbols() { return Pipe->Syms; }
 
@@ -251,13 +114,6 @@ bool Session::snapshot(std::string &Blob, std::string &Err) {
     return false;
   }
   Pipeline &P = *Pipe;
-  for (Backend *B : P.Delivery)
-    if (!B->supportsSnapshot()) {
-      Err = std::string("backend '") + B->name() +
-            "' does not support snapshots";
-      return false;
-    }
-
   SnapshotWriter W;
   W.str(Config.Name);
   W.str(Config.BackendSel);
@@ -268,8 +124,8 @@ bool Session::snapshot(std::string &Blob, std::string &Err) {
   W.u64(Config.Limits.MaxMemoryBytes);
   W.u64(Config.Limits.DeadlineMillis);
   W.u32(Config.Limits.CheckIntervalEvents);
-  W.u64(P.EventsSeen);
-  W.u32(P.ThreadsSeen);
+  W.u64(P.Stack.eventsSeen());
+  W.u32(P.Stack.threadsSeen());
   W.boolean(P.Stopped);
   W.str(Notes);
 
@@ -280,16 +136,9 @@ bool Session::snapshot(std::string &Blob, std::string &Err) {
   P.San.serialize(SanBlob);
   W.blob(SanBlob);
 
-  // Delivery membership is part of the state (the reference checker may
-  // already have been dropped); restore-by-name mirrors the CLI resume.
-  W.u64(P.Delivery.size());
-  for (Backend *B : P.Delivery) {
-    W.str(B->name());
-    SnapshotWriter BBlob;
-    B->serialize(BBlob);
-    W.blob(BBlob);
-  }
-
+  // Delivery membership is part of the state: the reference checker may
+  // already have been dropped.
+  P.Stack.saveDelivery(W);
   Blob = W.payload();
   return true;
 }
@@ -297,7 +146,7 @@ bool Session::snapshot(std::string &Blob, std::string &Err) {
 bool Session::evict(std::string &Blob, std::string &Err) {
   if (!snapshot(Blob, Err))
     return false;
-  Saved.EventsSeen = Pipe->EventsSeen;
+  EvictedEvents = Pipe->Stack.eventsSeen();
   Pipe.reset();
   return true;
 }
@@ -334,8 +183,7 @@ bool Session::rehydrate(const std::string &Blob, std::string &Err) {
   if (!buildPipeline(Err))
     return false;
   Pipeline &P = *Pipe;
-  P.EventsSeen = EventsSeen;
-  P.ThreadsSeen = ThreadsSeen;
+  P.Stack.setProgress(EventsSeen, ThreadsSeen);
   P.Stopped = Stopped;
 
   // Restore order matters, same as the CLI: symbols first (backends keep a
@@ -347,36 +195,24 @@ bool Session::rehydrate(const std::string &Blob, std::string &Err) {
     Pipe.reset();
     return false;
   }
-  for (Backend *B : P.Delivery)
-    B->beginAnalysis(P.Syms);
+  P.Stack.begin(P.Syms);
   SnapshotReader SanBlob = R.blob();
   if (!P.San.deserialize(SanBlob)) {
     Err = "corrupt session snapshot (sanitizer state)";
     Pipe.reset();
     return false;
   }
-  uint64_t NumSaved = R.u64();
-  std::vector<Backend *> Restored;
-  for (uint64_t I = 0; I < NumSaved && !R.failed(); ++I) {
-    std::string Name = R.str();
-    SnapshotReader BBlob = R.blob();
-    Backend *Found = nullptr;
-    for (Backend *B : P.Delivery)
-      if (Name == B->name())
-        Found = B;
-    if (!Found || !Found->deserialize(BBlob)) {
-      Err = "corrupt session snapshot (backend '" + Name + "')";
-      Pipe.reset();
-      return false;
-    }
-    Restored.push_back(Found);
+  std::string BadName;
+  if (!P.Stack.restoreDelivery(R, BadName)) {
+    Err = "corrupt session snapshot (backend '" + BadName + "')";
+    Pipe.reset();
+    return false;
   }
   if (R.failed() || !R.atEnd()) {
     Err = "corrupt session snapshot (truncated)";
     Pipe.reset();
     return false;
   }
-  P.Delivery = std::move(Restored);
   return true;
 }
 

@@ -1,12 +1,12 @@
 //===- serve/Session.h - One tenant's analysis pipeline ---------*- C++ -*-===//
 //
 // A Session is the daemon-side equivalent of one `velodrome-check`
-// invocation: sanitizer, back-end set, governor wrapper, and report
-// renderer, built to the same defaults and in the same order so the
-// rendered report is byte-identical to the CLI's stdout on the same event
-// stream. That identity is the service contract the fault-injection matrix
-// checks, so this file deliberately mirrors tools/velodrome-check.cpp's
-// runAnalysis rather than inventing a second policy.
+// invocation: a sanitizer in front of the shared AnalysisStack
+// (analysis/Stack.h), which selects the back-ends, wires the governor,
+// delivers events, and renders the report sections and verdict for both.
+// Serve accepts exactly velodrome-check's backend names, and the rendered
+// report is byte-identical to the CLI's stdout on the same event stream.
+// That identity is the service contract the fault-injection matrix checks.
 //
 // Sessions are also the unit of fault isolation and eviction: evict()
 // serializes the full pipeline (symbols, sanitizer, every live back-end,
@@ -32,17 +32,17 @@ namespace serve {
 
 struct SessionConfig {
   std::string Name;               ///< display name (the CLI's trace path)
-  std::string BackendSel = "all"; ///< velodrome|basic|aero|atomizer|eraser|hb|all
+  std::string BackendSel = "all"; ///< a stack registry name, or all
   bool Lenient = false;
   /// VERDICT report rendering; Text reproduces velodrome-check's stdout
   /// byte for byte, Json/Sarif swap in the machine documents.
   ReportFormat Format = ReportFormat::Text;
   /// Per-session governor caps. Default-constructed SessionConfig carries
-  /// the CLI default (MaxLiveNodes = 60000), so a plain session is governed
+  /// the CLI default (DefaultMaxLiveNodes), so a plain session is governed
   /// exactly like a plain `velodrome-check` run.
   GovernorLimits Limits;
 
-  SessionConfig() { Limits.MaxLiveNodes = 60000; }
+  SessionConfig() { Limits.MaxLiveNodes = DefaultMaxLiveNodes; }
 };
 
 class Session {
@@ -85,7 +85,7 @@ public:
 
   /// Serialize the whole pipeline (config, counters, symbols, sanitizer,
   /// every live back-end, governor budget) into Blob without disturbing
-  /// it. Fails when any configured back-end lacks snapshot support.
+  /// it. Fails once the session is evicted or finished.
   bool snapshot(std::string &Blob, std::string &Err);
 
   /// snapshot() then drop the in-memory pipeline; the session keeps only
@@ -103,15 +103,10 @@ private:
   struct Pipeline;
 
   bool buildPipeline(std::string &Err);
-  void deliver(const Event &E);
-  void renderReport();
 
   SessionConfig Config;
   std::unique_ptr<Pipeline> Pipe;
-  /// Counters that must survive eviction (Pipe is gone while evicted).
-  struct {
-    uint64_t EventsSeen = 0;
-  } Saved;
+  uint64_t EvictedEvents = 0; ///< eventsSeen() while Pipe is gone
   std::string Report, Notes;
   int Exit = 0;
   bool Finished = false;

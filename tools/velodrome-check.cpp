@@ -5,9 +5,9 @@
 //
 //   velodrome-check [options] <trace-file>
 //
-//     --backend=<velodrome|basic|aero|atomizer|eraser|hb|deadlock|all>
-//                      (default all; deadlock is the lock-order-cycle
-//                      checker and must be selected explicitly)
+//     --backend=<name>  a name from the analysis stack's registry
+//                      (analysis/Stack.cpp), or all (the default; the
+//                      deadlock checker must be selected explicitly)
 //     --format=<text|json|sarif>  report rendering (default text; see
 //                      docs/REPORTING.md for the JSON schema and SARIF
 //                      conventions). Machine formats replace the stdout
@@ -64,25 +64,20 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "aero/AeroDrome.h"
 #include "analysis/CrashDump.h"
-#include "analysis/Governor.h"
-#include "atomizer/Atomizer.h"
-#include "core/BasicVelodrome.h"
+#include "analysis/Stack.h"
 #include "core/Velodrome.h"
-#include "deadlock/DeadlockDetector.h"
-#include "eraser/Eraser.h"
 #include "events/BinaryReader.h"
 #include "events/TraceSanitizer.h"
 #include "events/TraceSource.h"
 #include "events/TraceStream.h"
 #include "events/TraceText.h"
-#include "hbrace/HbRaceDetector.h"
 #include "oracle/SerializabilityOracle.h"
 #include "parallel/Pipeline.h"
 #include "report/Report.h"
 #include "staticpass/PassManager.h"
 #include "staticpass/ReductionFilter.h"
+#include "support/Parse.h"
 #include "support/Syscalls.h"
 
 #include <cerrno>
@@ -106,8 +101,7 @@ void usage() {
       "usage: velodrome-check [options] <trace-file>\n"
       "  <trace-file> may be text or a VELOTRC .vtrc container\n"
       "  (auto-detected; see velodrome-convert and docs/INGESTION.md)\n"
-      "  --backend=<velodrome|basic|aero|atomizer|eraser|hb|deadlock|all>"
-      "  (default all)\n"
+      "  --backend=<%s>  (default all)\n"
       "  --format=<text|json|sarif>  report rendering (default text;\n"
       "                 see docs/REPORTING.md)\n"
       "  --max-warnings=N  cap recorded warnings per back-end\n"
@@ -137,21 +131,8 @@ void usage() {
       "                       (see docs/OPERATIONS.md)\n"
       "exit: 0 serializable, 1 violation, 2 usage/input error,\n"
       "      3 resource-limited, 4 crashed under --supervise,\n"
-      "      128+N stopped by signal N after a clean checkpoint\n");
-}
-
-/// Parse a full decimal uint64 ("--max-events="). Rejects empty strings,
-/// trailing garbage, signs, and out-of-range values.
-bool parseU64(const char *S, uint64_t &Out) {
-  if (*S == '\0' || *S == '-' || *S == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (errno != 0 || End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
+      "      128+N stopped by signal N after a clean checkpoint\n",
+      AnalysisStack::selectorUsage().c_str());
 }
 
 struct Options {
@@ -165,28 +146,25 @@ struct Options {
   uint64_t CrashSignal = SIGKILL;
   bool Supervise = false;
   bool Salvage = false; ///< --salvage: longest-prefix recovery for .vtrc
-  bool Witness = false, NoMerge = false, Stats = false, Quiet = false;
+  bool Witness = false, Stats = false, Quiet = false;
   bool Parallel = false;       ///< --parallel given
   uint64_t ParallelWorkers = 0; ///< 0 = one worker per back-end
   uint64_t BatchEvents = 4096;
   bool BatchEventsSet = false;
   bool ExplicitLimits = false; ///< any resource-cap flag given
   SanitizeMode Mode = SanitizeMode::Strict;
-  GovernorLimits Limits;
   ReportFormat Format = ReportFormat::Text;
-  uint64_t MaxWarnings = 0;  ///< only applied when MaxWarningsSet
-  bool MaxWarningsSet = false;
+  StackOptions Analysis; ///< --no-merge, --max-warnings, governor caps
 };
 
 /// Returns 0 to continue, 2 on usage error, -1 when --help was handled.
 int parseArgs(int argc, char **argv, Options &O) {
-  // Graph slots are a 16-bit space (Step::MaxSlots); the default node cap
-  // keeps runaway traces degrading gracefully instead of exhausting it.
-  O.Limits.MaxLiveNodes = 60000;
+  O.Analysis.Limits.MaxLiveNodes = DefaultMaxLiveNodes;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     uint64_t *U64Target = nullptr;
     size_t U64Prefix = 0;
+    bool Valid = true;
     if (Arg.rfind("--backend=", 0) == 0) {
       O.BackendSel = Arg.substr(10);
     } else if (Arg.rfind("--dot=", 0) == 0) {
@@ -194,7 +172,7 @@ int parseArgs(int argc, char **argv, Options &O) {
     } else if (Arg == "--witness") {
       O.Witness = true;
     } else if (Arg == "--no-merge") {
-      O.NoMerge = true;
+      O.Analysis.NoMerge = true;
     } else if (Arg.rfind("--reduce=", 0) == 0) {
       O.ReduceSpec = Arg.substr(9);
     } else if (Arg == "--stats") {
@@ -214,9 +192,8 @@ int parseArgs(int argc, char **argv, Options &O) {
         return 2;
       }
     } else if (Arg.rfind("--max-warnings=", 0) == 0) {
-      U64Target = &O.MaxWarnings;
+      U64Target = &O.Analysis.MaxWarnings.emplace();
       U64Prefix = 15;
-      O.MaxWarningsSet = true;
     } else if (Arg.rfind("--checkpoint=", 0) == 0) {
       O.CheckpointFile = Arg.substr(13);
     } else if (Arg.rfind("--resume=", 0) == 0) {
@@ -248,21 +225,7 @@ int parseArgs(int argc, char **argv, Options &O) {
     } else if (Arg.rfind("--crash-signal=", 0) == 0) {
       U64Target = &O.CrashSignal;
       U64Prefix = 15;
-    } else if (Arg.rfind("--max-events=", 0) == 0) {
-      U64Target = &O.Limits.MaxEvents;
-      U64Prefix = 13;
-      O.ExplicitLimits = true;
-    } else if (Arg.rfind("--max-live-nodes=", 0) == 0) {
-      U64Target = &O.Limits.MaxLiveNodes;
-      U64Prefix = 17;
-      O.ExplicitLimits = true;
-    } else if (Arg.rfind("--max-memory-mb=", 0) == 0) {
-      U64Target = &O.Limits.MaxMemoryBytes;
-      U64Prefix = 16;
-      O.ExplicitLimits = true;
-    } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      U64Target = &O.Limits.DeadlineMillis;
-      U64Prefix = 14;
+    } else if (parseLimitFlag(Arg, O.Analysis.Limits, Valid)) {
       O.ExplicitLimits = true;
     } else if (Arg == "--help" || Arg == "-h") {
       usage();
@@ -277,14 +240,11 @@ int parseArgs(int argc, char **argv, Options &O) {
       usage();
       return 2;
     }
-    if (U64Target) {
-      if (!parseU64(Arg.c_str() + U64Prefix, *U64Target)) {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        usage();
-        return 2;
-      }
-      if (U64Target == &O.Limits.MaxMemoryBytes)
-        *U64Target *= 1024 * 1024;
+    if (!Valid || (U64Target && !parseU64(Arg.c_str() + U64Prefix,
+                                          *U64Target))) {
+      std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
+      usage();
+      return 2;
     }
   }
   if (O.TraceFile.empty()) {
@@ -308,7 +268,7 @@ int parseArgs(int argc, char **argv, Options &O) {
                            "incompatible with --reduce\n");
       return 2;
     }
-    if (O.NoMerge) {
+    if (O.Analysis.NoMerge) {
       // Without merging every outside-transaction operation gets its own
       // graph node, so collapsed repeats change the naive mode's cycle
       // shapes (and its warning text). Reduction is only exact against the
@@ -384,28 +344,27 @@ int parseArgs(int argc, char **argv, Options &O) {
 
 struct ResumeState {
   SnapshotReader R; ///< positioned at the symbols blob after loadHeader
-  std::string TracePath, BackendSel, ReduceSpec;
-  bool NoMerge = false;
-  SanitizeMode Mode = SanitizeMode::Strict;
-  GovernorLimits Limits;
   uint64_t ByteOffset = 0, LineNo = 0, EventsSeen = 0;
   uint32_t ThreadsSeen = 0;
 };
 
-bool loadHeader(const std::string &Path, ResumeState &RS,
+/// Read a checkpoint header: the configuration into O (the snapshot is
+/// authoritative for it), the stream position into RS.
+bool loadHeader(const std::string &Path, Options &O, ResumeState &RS,
                 std::string &ErrorOut) {
   if (!SnapshotReader::readFile(Path, RS.R, ErrorOut))
     return false;
-  RS.TracePath = RS.R.str();
-  RS.BackendSel = RS.R.str();
-  RS.NoMerge = RS.R.boolean();
-  RS.ReduceSpec = RS.R.str();
-  RS.Mode = RS.R.u8() ? SanitizeMode::Lenient : SanitizeMode::Strict;
-  RS.Limits.MaxEvents = RS.R.u64();
-  RS.Limits.MaxLiveNodes = RS.R.u64();
-  RS.Limits.MaxMemoryBytes = RS.R.u64();
-  RS.Limits.DeadlineMillis = RS.R.u64();
-  RS.Limits.CheckIntervalEvents = RS.R.u32();
+  RS.R.str(); // trace path: diagnostic only
+  O.BackendSel = RS.R.str();
+  O.Analysis.NoMerge = RS.R.boolean();
+  O.ReduceSpec = RS.R.str();
+  O.Mode = RS.R.u8() ? SanitizeMode::Lenient : SanitizeMode::Strict;
+  GovernorLimits &L = O.Analysis.Limits;
+  L.MaxEvents = RS.R.u64();
+  L.MaxLiveNodes = RS.R.u64();
+  L.MaxMemoryBytes = RS.R.u64();
+  L.DeadlineMillis = RS.R.u64();
+  L.CheckIntervalEvents = RS.R.u32();
   RS.ByteOffset = RS.R.u64();
   RS.LineNo = RS.R.u64();
   RS.EventsSeen = RS.R.u64();
@@ -417,27 +376,36 @@ bool loadHeader(const std::string &Path, ResumeState &RS,
   return true;
 }
 
-bool writeCheckpoint(const Options &O, uint64_t ByteOffset, uint64_t LineNo,
-                     uint64_t EventsSeen, uint32_t ThreadsSeen,
-                     const SymbolTable &Syms, const TraceSanitizer &San,
-                     const ReductionFilter *Filter,
-                     const std::vector<Backend *> &Delivery,
-                     std::string &ErrorOut) {
+/// The 14 header fields every checkpoint starts with: the configuration,
+/// then the stream position. loadHeader is their one reader.
+SnapshotWriter checkpointHeader(const Options &O, uint64_t ByteOffset,
+                                uint64_t LineNo, uint64_t EventsSeen,
+                                uint32_t ThreadsSeen) {
   SnapshotWriter W;
   W.str(O.TraceFile);
   W.str(O.BackendSel);
-  W.boolean(O.NoMerge);
+  W.boolean(O.Analysis.NoMerge);
   W.str(O.ReduceSpec);
   W.u8(O.Mode == SanitizeMode::Lenient ? 1 : 0);
-  W.u64(O.Limits.MaxEvents);
-  W.u64(O.Limits.MaxLiveNodes);
-  W.u64(O.Limits.MaxMemoryBytes);
-  W.u64(O.Limits.DeadlineMillis);
-  W.u32(O.Limits.CheckIntervalEvents);
+  const GovernorLimits &L = O.Analysis.Limits;
+  W.u64(L.MaxEvents);
+  W.u64(L.MaxLiveNodes);
+  W.u64(L.MaxMemoryBytes);
+  W.u64(L.DeadlineMillis);
+  W.u32(L.CheckIntervalEvents);
   W.u64(ByteOffset);
   W.u64(LineNo);
   W.u64(EventsSeen);
   W.u32(ThreadsSeen);
+  return W;
+}
+
+bool writeCheckpoint(const Options &O, uint64_t ByteOffset, uint64_t LineNo,
+                     const AnalysisStack &Stack, const SymbolTable &Syms,
+                     const TraceSanitizer &San, const ReductionFilter *Filter,
+                     std::string &ErrorOut) {
+  SnapshotWriter W = checkpointHeader(O, ByteOffset, LineNo,
+                                      Stack.eventsSeen(), Stack.threadsSeen());
   SnapshotWriter SymsBlob;
   serializeSymbols(SymsBlob, Syms);
   W.blob(SymsBlob);
@@ -448,13 +416,7 @@ bool writeCheckpoint(const Options &O, uint64_t ByteOffset, uint64_t LineNo,
   if (Filter)
     Filter->serialize(FilterBlob);
   W.blob(FilterBlob);
-  W.u64(Delivery.size());
-  for (const Backend *B : Delivery) {
-    W.str(B->name());
-    SnapshotWriter BB;
-    B->serialize(BB);
-    W.blob(BB);
-  }
+  Stack.saveDelivery(W);
   return W.writeFile(O.CheckpointFile, ErrorOut);
 }
 
@@ -464,25 +426,12 @@ bool writeCheckpoint(const Options &O, uint64_t ByteOffset, uint64_t LineNo,
 /// byte-compatible snapshots — sequential and parallel runs can resume
 /// each other's checkpoints. A back-end entry with an empty blob was
 /// dropped from delivery before the boundary (the governor's post-breach
-/// drop) and is omitted, exactly as writeCheckpoint omits it from
-/// Delivery.
+/// drop) and is omitted, exactly as writeCheckpoint omits it from the
+/// stack's delivery set.
 bool writeCheckpointCut(const Options &O, const CheckpointCut &Cut,
                         std::string &ErrorOut) {
-  SnapshotWriter W;
-  W.str(O.TraceFile);
-  W.str(O.BackendSel);
-  W.boolean(O.NoMerge);
-  W.str(O.ReduceSpec);
-  W.u8(O.Mode == SanitizeMode::Lenient ? 1 : 0);
-  W.u64(O.Limits.MaxEvents);
-  W.u64(O.Limits.MaxLiveNodes);
-  W.u64(O.Limits.MaxMemoryBytes);
-  W.u64(O.Limits.DeadlineMillis);
-  W.u32(O.Limits.CheckIntervalEvents);
-  W.u64(Cut.ByteOffset);
-  W.u64(Cut.LineNo);
-  W.u64(Cut.EventsSeen);
-  W.u32(Cut.ThreadsSeen);
+  SnapshotWriter W = checkpointHeader(O, Cut.ByteOffset, Cut.LineNo,
+                                      Cut.EventsSeen, Cut.ThreadsSeen);
   W.str(Cut.SymsBlob);
   W.str(Cut.SanBlob);
   W.str(Cut.FilterBlob);
@@ -575,24 +524,19 @@ int runAnalysis(Options O) {
   bool Resuming = !O.ResumeFile.empty();
   if (Resuming) {
     std::string Error;
-    if (!loadHeader(O.ResumeFile, RS, Error)) {
+    // The presentation flags (--quiet, --stats, --dot) stay as given.
+    if (!loadHeader(O.ResumeFile, O, RS, Error)) {
       std::fprintf(stderr, "error: cannot resume from %s: %s\n",
                    O.ResumeFile.c_str(), Error.c_str());
       return 2;
     }
-    // The snapshot is authoritative for the analysis configuration; the
-    // presentation flags (--quiet, --stats, --dot) stay as given.
-    O.BackendSel = RS.BackendSel;
-    O.NoMerge = RS.NoMerge;
-    O.ReduceSpec = RS.ReduceSpec;
-    O.Mode = RS.Mode;
-    O.Limits = RS.Limits;
+    const GovernorLimits &L = O.Analysis.Limits;
     // The caps travel with the snapshot, so a sequential run's explicit
     // caps would silently reappear under --parallel here; refuse just as
     // parseArgs does for caps given on the command line.
     if (O.Parallel &&
-        (O.Limits.MaxEvents != 0 || O.Limits.MaxMemoryBytes != 0 ||
-         O.Limits.DeadlineMillis != 0 || O.Limits.MaxLiveNodes != 60000)) {
+        (L.MaxEvents != 0 || L.MaxMemoryBytes != 0 || L.DeadlineMillis != 0 ||
+         L.MaxLiveNodes != DefaultMaxLiveNodes)) {
       std::fprintf(stderr,
                    "error: %s was written by a run with explicit resource "
                    "caps, which are incompatible with --parallel; resume "
@@ -612,92 +556,14 @@ int runAnalysis(Options O) {
     }
   }
 
-  bool RunVelo = O.BackendSel == "velodrome" || O.BackendSel == "all";
-  bool RunBasic = O.BackendSel == "basic" || O.BackendSel == "all";
-  bool RunAero = O.BackendSel == "aero" || O.BackendSel == "all";
-  bool RunAtom = O.BackendSel == "atomizer" || O.BackendSel == "all";
-  bool RunEraser = O.BackendSel == "eraser" || O.BackendSel == "all";
-  bool RunHb = O.BackendSel == "hb" || O.BackendSel == "all";
-  // The lock-order deadlock checker is opt-in only: "all" keeps meaning
-  // the atomicity/race table, so default reports are unchanged.
-  bool RunDeadlock = O.BackendSel == "deadlock";
-  if (!(RunVelo || RunBasic || RunAero || RunAtom || RunEraser || RunHb ||
-        RunDeadlock)) {
-    std::fprintf(stderr, "unknown backend: %s\n", O.BackendSel.c_str());
-    return 2;
+  AnalysisStack Stack;
+  {
+    std::string Error;
+    if (!Stack.build(O.BackendSel, O.Analysis, Error)) {
+      std::fprintf(stderr, "%s\n", Error.c_str());
+      return 2;
+    }
   }
-
-  VelodromeOptions VOpts;
-  VOpts.UseMerge = !O.NoMerge;
-  AeroDromeOptions AOpts;
-  DeadlockOptions DOpts;
-  if (O.MaxWarningsSet) {
-    VOpts.MaxWarnings = O.MaxWarnings;
-    AOpts.MaxWarnings = O.MaxWarnings;
-    DOpts.MaxWarnings = O.MaxWarnings;
-  }
-  Velodrome Velo(VOpts);
-  BasicVelodrome Basic;
-  AeroDrome Aero(AOpts);
-  Atomizer Atom;
-  Eraser Race;
-  HbRaceDetector Hb;
-  DeadlockDetector Deadlock(DOpts);
-
-  // The backends whose warnings are reported, in table order.
-  std::vector<Backend *> Reporting;
-  if (RunVelo)
-    Reporting.push_back(&Velo);
-  if (RunBasic)
-    Reporting.push_back(&Basic);
-  if (RunAero)
-    Reporting.push_back(&Aero);
-  if (RunAtom)
-    Reporting.push_back(&Atom);
-  if (RunEraser)
-    Reporting.push_back(&Race);
-  if (RunHb)
-    Reporting.push_back(&Hb);
-  if (RunDeadlock)
-    Reporting.push_back(&Deadlock);
-
-  // The governor wraps the verdict-producing pair: the selected graph
-  // checker as primary, the vector-clock checker as its degradation target.
-  // Remaining back-ends are delivered alongside, ungoverned, and stop with
-  // the governor on exhaustion.
-  Backend *Primary = RunVelo    ? static_cast<Backend *>(&Velo)
-                     : RunBasic ? static_cast<Backend *>(&Basic)
-                     : RunAero  ? static_cast<Backend *>(&Aero)
-                                : nullptr;
-  Backend *Fallback =
-      RunAero && Primary != &Aero ? static_cast<Backend *>(&Aero) : nullptr;
-  GovernedAnalysis::Probe Probe;
-  GovernedAnalysis::FailProbe FailProbe;
-  if (Primary == &Velo) {
-    Probe = [&Velo](uint64_t &Nodes, uint64_t &Bytes) {
-      Nodes = Velo.graph().nodesAlive();
-      // Rough per-node footprint: slot bookkeeping + edges + ancestor set.
-      Bytes = Nodes * 256;
-    };
-    // Slot-space exhaustion used to abort the process; it now reports
-    // through the governor as a degradation cause.
-    FailProbe = [&Velo]() -> std::string {
-      return Velo.graphExhausted() ? "happens-before graph node slot space "
-                                     "exhausted"
-                                   : "";
-    };
-  }
-  bool Governed = Primary != nullptr && O.Limits.any();
-  GovernedAnalysis Gov(Governed ? *Primary : Velo, Fallback, O.Limits,
-                       std::move(Probe), std::move(FailProbe));
-
-  // Delivery list: the governor stands in for its primary and fallback.
-  std::vector<Backend *> Delivery;
-  if (Governed)
-    Delivery.push_back(&Gov);
-  for (Backend *B : Reporting)
-    if (!Governed || (B != Primary && B != Fallback))
-      Delivery.push_back(B);
 
   // Fatal-signal diagnostics: every delivered event lands in the crash
   // ring; with a checkpoint configured the handler also writes the dump to
@@ -778,8 +644,6 @@ int runAnalysis(Options O) {
   SymbolTable StreamSyms;
   Trace Buffered; // only filled on the --witness path
   TraceSanitizer San(O.Mode);
-  uint64_t EventsSeen = 0;
-  uint32_t ThreadsSeen = 0;
   uint64_t EventsAtStart = 0; // resumed offset, for the --crash-at hook
   // 1-based ordinal of the current event in the sanitized (pre-reduction)
   // stream: the coordinate warnings report into (docs/REPORTING.md).
@@ -787,31 +651,9 @@ int runAnalysis(Options O) {
   std::vector<Event> Scratch;
 
   auto Deliver = [&](const Event &E, uint64_t Line) {
-    ++EventsSeen;
-    crashdump::noteEvent(E, EventsSeen, Line);
-    if (E.Thread >= ThreadsSeen)
-      ThreadsSeen = E.Thread + 1;
-    if ((E.Kind == Op::Fork || E.Kind == Op::Join) &&
-        E.child() >= ThreadsSeen)
-      ThreadsSeen = E.child() + 1;
-    for (Backend *B : Delivery) {
-      B->setEventOrdinal(SanOrdinal);
-      B->onEvent(E);
-    }
-    // The reference checker has no GC and quadratic cycle checks; once the
-    // governor trips a cap the trace is past test scale, and keeping the
-    // reference fed would defeat the bound. Its warnings up to this point
-    // are kept.
-    if (Governed && Gov.state() != GovernorState::Normal)
-      for (size_t I = 0; I < Delivery.size(); ++I)
-        if (Delivery[I] == &Basic) {
-          Delivery.erase(Delivery.begin() + I);
-          std::fprintf(stderr,
-                       "governor: stopped the reference checker "
-                       "(Velodrome(basic), no GC) after the cap breach\n");
-          break;
-        }
-    if (O.CrashAt != 0 && EventsSeen - EventsAtStart >= O.CrashAt) {
+    crashdump::noteEvent(E, Stack.eventsSeen() + 1, Line);
+    Stack.deliver(E, SanOrdinal);
+    if (O.CrashAt != 0 && Stack.eventsSeen() - EventsAtStart >= O.CrashAt) {
       // Test hook: simulate an analysis crash at a deterministic point.
       std::fflush(nullptr);
       ::raise(static_cast<int>(O.CrashSignal));
@@ -847,16 +689,14 @@ int runAnalysis(Options O) {
       std::fprintf(stderr, "lenient: repaired %llu event(s): %s\n",
                    static_cast<unsigned long long>(Repairs.total()),
                    Repairs.summary().c_str());
-    for (Backend *B : Delivery)
-      B->beginAnalysis(Buffered.symbols());
+    Stack.begin(Buffered.symbols());
     for (const Event &E : Buffered) {
       ++SanOrdinal;
       Deliver(E, 0);
-      if (Governed && Gov.state() == GovernorState::Exhausted)
+      if (Stack.exhausted())
         break;
     }
-    for (Backend *B : Delivery)
-      B->endAnalysis();
+    Stack.end();
   } else {
     // Default path: stream the file through sanitizer and back-ends in
     // constant memory, snapshotting at resume boundaries when asked to.
@@ -887,8 +727,7 @@ int runAnalysis(Options O) {
         return 2;
       }
     }
-    for (Backend *B : Delivery)
-      B->beginAnalysis(StreamSyms);
+    Stack.begin(StreamSyms);
     if (Resuming) {
       SnapshotReader SanBlob = RS.R.blob();
       if (!San.deserialize(SanBlob)) {
@@ -906,26 +745,13 @@ int runAnalysis(Options O) {
                      O.ResumeFile.c_str());
         return 2;
       }
-      uint64_t NumSaved = RS.R.u64();
-      // The snapshot lists the backends that were still live when it was
-      // written (the reference checker is dropped after a cap breach), so
-      // delivery membership is restored by name.
-      std::vector<Backend *> Restored;
-      for (uint64_t I = 0; I < NumSaved; ++I) {
-        std::string Name = RS.R.str();
-        SnapshotReader Blob = RS.R.blob();
-        Backend *Found = nullptr;
-        for (Backend *B : Delivery)
-          if (Name == B->name())
-            Found = B;
-        if (!Found || !Found->deserialize(Blob)) {
-          std::fprintf(stderr,
-                       "error: cannot resume from %s: backend '%s' state "
-                       "cannot be restored\n",
-                       O.ResumeFile.c_str(), Name.c_str());
-          return 2;
-        }
-        Restored.push_back(Found);
+      std::string BadName;
+      if (!Stack.restoreDelivery(RS.R, BadName)) {
+        std::fprintf(stderr,
+                     "error: cannot resume from %s: backend '%s' state "
+                     "cannot be restored\n",
+                     O.ResumeFile.c_str(), BadName.c_str());
+        return 2;
       }
       if (RS.R.failed()) {
         std::fprintf(stderr, "error: cannot resume from %s: truncated "
@@ -933,10 +759,8 @@ int runAnalysis(Options O) {
                      O.ResumeFile.c_str());
         return 2;
       }
-      Delivery = std::move(Restored);
-      EventsSeen = RS.EventsSeen;
-      ThreadsSeen = RS.ThreadsSeen;
-      EventsAtStart = EventsSeen;
+      Stack.setProgress(RS.EventsSeen, RS.ThreadsSeen);
+      EventsAtStart = RS.EventsSeen;
       // The sanitized-stream position needs no extra checkpoint field:
       // under --reduce the restored filter counted every sanitized event
       // it was offered; otherwise every sanitized event was delivered.
@@ -972,30 +796,18 @@ int runAnalysis(Options O) {
           return writeCheckpointCut(O, Cut, Error);
         };
       }
-      if (Governed) {
+      if (GovernedAnalysis *Gov = Stack.governor()) {
         // The probe runs on the governor's worker; exhaustion stops the
         // reader at the next batch boundary.
-        POpts.StopProbe = [&Gov] {
-          return Gov.state() == GovernorState::Exhausted;
-        };
-        POpts.StopOwner = &Gov;
-        bool BasicDelivered = false;
-        for (Backend *B : Delivery)
-          BasicDelivered = BasicDelivered || B == &Basic;
-        if (BasicDelivered) {
+        POpts.StopProbe = [&Stack] { return Stack.exhausted(); };
+        POpts.StopOwner = Gov;
+        if (Backend *Ref = Stack.reference()) {
           // Pin the reference checker beside the governor so its
           // post-breach drop lands on the exact event the sequential
           // loop drops it at.
-          POpts.Colocate.push_back({&Gov, &Basic});
-          Backend *BasicPtr = &Basic;
-          POpts.KeepDelivering = [&Gov, BasicPtr](Backend *B) {
-            if (B != BasicPtr || Gov.state() == GovernorState::Normal)
-              return true;
-            std::fprintf(stderr,
-                         "governor: stopped the reference checker "
-                         "(Velodrome(basic), no GC) after the cap "
-                         "breach\n");
-            return false;
+          POpts.Colocate.push_back({Gov, Ref});
+          POpts.KeepDelivering = [&Stack](Backend *B) {
+            return Stack.keepDelivering(B);
           };
         }
       }
@@ -1006,7 +818,7 @@ int runAnalysis(Options O) {
                        "'%s'\n",
                        Spec);
       ParallelPipeline Pipe(*Src, StreamSyms, San,
-                            Reducing ? &Filter : nullptr, Delivery,
+                            Reducing ? &Filter : nullptr, Stack.delivery(),
                             std::move(POpts));
       PipelineResult PR = Pipe.run();
       switch (PR.Err) {
@@ -1026,15 +838,10 @@ int runAnalysis(Options O) {
       case PipelineError::None:
         break;
       }
-      EventsSeen = PR.EventsSeen;
-      ThreadsSeen = PR.ThreadsSeen;
+      Stack.setProgress(PR.EventsSeen, PR.ThreadsSeen);
       SanOrdinal = PR.SanitizedEvents;
-      if (San.repairs().total() != 0)
-        std::fprintf(stderr, "lenient: repaired %llu event(s): %s\n",
-                     static_cast<unsigned long long>(San.repairs().total()),
-                     San.repairs().summary().c_str());
     } else {
-    uint64_t NextCkpt = EventsSeen + O.CheckpointEvery;
+    uint64_t NextCkpt = Stack.eventsSeen() + O.CheckpointEvery;
     Event E;
     bool Stopped = false;
     while (!Stopped && Src->next(E)) {
@@ -1050,12 +857,13 @@ int runAnalysis(Options O) {
         if (Reducing && !Filter.keep(Out))
           continue;
         Deliver(Out, Src->lineNo());
-        if (Governed && Gov.state() == GovernorState::Exhausted) {
+        if (Stack.exhausted()) {
           Stopped = true;
           break;
         }
       }
-      if (!O.CheckpointFile.empty() && !Stopped && EventsSeen >= NextCkpt) {
+      if (!O.CheckpointFile.empty() && !Stopped &&
+          Stack.eventsSeen() >= NextCkpt) {
         // The record just processed is fully delivered, so the source
         // position is a clean resume boundary when tell() succeeds. Text:
         // tellg() only fails at EOF on a file without a trailing newline
@@ -1065,15 +873,13 @@ int runAnalysis(Options O) {
         uint64_t Off = 0;
         if (Src->tell(Off)) {
           std::string Error;
-          if (!writeCheckpoint(O, Off, Src->lineNo(), EventsSeen,
-                               ThreadsSeen, StreamSyms, San,
-                               Reducing ? &Filter : nullptr, Delivery,
-                               Error)) {
+          if (!writeCheckpoint(O, Off, Src->lineNo(), Stack, StreamSyms, San,
+                               Reducing ? &Filter : nullptr, Error)) {
             std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
                          O.CheckpointFile.c_str(), Error.c_str());
             return 2;
           }
-          NextCkpt = EventsSeen + O.CheckpointEvery;
+          NextCkpt = Stack.eventsSeen() + O.CheckpointEvery;
         }
       }
       if (StopSignal != 0 && !Stopped) {
@@ -1083,17 +889,16 @@ int runAnalysis(Options O) {
         uint64_t Off = 0;
         if (!O.CheckpointFile.empty() && Src->tell(Off)) {
           std::string Error;
-          if (!writeCheckpoint(O, Off, Src->lineNo(), EventsSeen,
-                               ThreadsSeen, StreamSyms, San,
-                               Reducing ? &Filter : nullptr, Delivery,
-                               Error))
+          if (!writeCheckpoint(O, Off, Src->lineNo(), Stack, StreamSyms, San,
+                               Reducing ? &Filter : nullptr, Error))
             std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
                          O.CheckpointFile.c_str(), Error.c_str());
         }
         std::fprintf(stderr,
                      "shutdown: stopped by signal %d after %llu events; "
                      "checkpoint %s is resumable\n",
-                     Sig, static_cast<unsigned long long>(EventsSeen),
+                     Sig,
+                     static_cast<unsigned long long>(Stack.eventsSeen()),
                      O.CheckpointFile.c_str());
         std::fflush(nullptr);
         return 128 + Sig;
@@ -1112,21 +917,15 @@ int runAnalysis(Options O) {
       if (!Stopped && (!Reducing || Filter.keep(Out)))
         Deliver(Out, 0);
     }
-    for (Backend *B : Delivery)
-      B->endAnalysis();
+    Stack.end();
+    } // sequential loop
     if (San.repairs().total() != 0)
       std::fprintf(stderr, "lenient: repaired %llu event(s): %s\n",
                    static_cast<unsigned long long>(San.repairs().total()),
                    San.repairs().summary().c_str());
-    } // sequential loop
   }
 
-  if (Governed && Gov.state() != GovernorState::Normal)
-    std::fprintf(stderr, "governor: %s%s\n", Gov.breachReason().c_str(),
-                 Gov.state() == GovernorState::Degraded
-                     ? "; fell back to the vector-clock checker "
-                       "(blame and error graphs unavailable)"
-                     : "; analysis stopped");
+  std::fputs(Stack.governorNote().c_str(), stderr);
 
   // Everything below flows through the report manager; the text renderer
   // reproduces the historical stdout byte for byte, and --format=json or
@@ -1134,34 +933,31 @@ int runAnalysis(Options O) {
   ReportManager RM;
   RM.Run.Tool = "velodrome-check";
   RM.Run.Trace = O.TraceFile;
-  RM.Run.Events = EventsSeen;
+  RM.Run.Events = Stack.eventsSeen();
   RM.Run.SanitizedEvents = SanOrdinal;
-  RM.Run.Threads = ThreadsSeen;
-  const SymbolTable &ReportSyms =
-      O.Witness ? Buffered.symbols() : StreamSyms;
-  for (Backend *B : Reporting)
-    RM.addSection(B->name(), B->warnings(), &ReportSyms);
-  if (O.Stats && RunVelo) {
+  RM.Run.Threads = Stack.threadsSeen();
+  const Velodrome *Velo = Stack.get<Velodrome>("velodrome");
+  if (O.Stats && Velo) {
     char StatBuf[192];
     std::snprintf(StatBuf, sizeof(StatBuf),
                   "[graph] allocated=%llu maxAlive=%llu edges=%llu "
                   "merged=%llu",
                   static_cast<unsigned long long>(
-                      Velo.graph().nodesAllocated()),
+                      Velo->graph().nodesAllocated()),
                   static_cast<unsigned long long>(
-                      Velo.graph().maxNodesAlive()),
-                  static_cast<unsigned long long>(Velo.graph().edgesAdded()),
+                      Velo->graph().maxNodesAlive()),
+                  static_cast<unsigned long long>(Velo->graph().edgesAdded()),
                   static_cast<unsigned long long>(
-                      Velo.graph().nodesMerged()));
+                      Velo->graph().nodesMerged()));
     RM.addStatLine(StatBuf);
   }
   if (O.Stats && Reducing)
     RM.addStatLine("[reduce] " + Filter.stats().summary());
 
-  if (!O.DotFile.empty() && RunVelo && !Velo.warnings().empty() &&
-      !Velo.warnings()[0].Dot.empty()) {
+  if (!O.DotFile.empty() && Velo && !Velo->warnings().empty() &&
+      !Velo->warnings()[0].Dot.empty()) {
     std::ofstream Out(O.DotFile);
-    Out << Velo.warnings()[0].Dot;
+    Out << Velo->warnings()[0].Dot;
     if (!O.Quiet)
       RM.addNote("error graph written to " + O.DotFile + "\n");
   }
@@ -1177,35 +973,9 @@ int runAnalysis(Options O) {
     }
   }
 
-  // Verdict priority: the graph checkers are the reference implementation;
-  // the vector-clock back-end supplies the verdict only when it runs alone.
-  // Under the governor, its verdict already encodes that priority plus
-  // degradation.
-  int Exit = 0;
-  if (Governed) {
-    switch (Gov.verdict()) {
-    case GovernorVerdict::Violation:
-      RM.Run.Verdict = "NOT conflict-serializable";
-      Exit = 1;
-      break;
-    case GovernorVerdict::Unknown:
-      RM.Run.Verdict = "resource-limited: verdict unknown";
-      Exit = 3;
-      break;
-    case GovernorVerdict::Serializable:
-      RM.Run.Verdict = "serializable";
-      break;
-    }
-  } else {
-    bool Violation = RunVelo    ? Velo.sawViolation()
-                     : RunBasic ? Basic.sawViolation()
-                     : RunAero  ? Aero.sawViolation()
-                                : false;
-    RM.Run.Verdict =
-        Violation ? "NOT conflict-serializable" : "serializable";
-    Exit = Violation ? 1 : 0;
-  }
-  RM.Run.ExitCode = Exit;
+  const SymbolTable &ReportSyms =
+      O.Witness ? Buffered.symbols() : StreamSyms;
+  int Exit = Stack.report(RM, &ReportSyms);
   const std::string Doc = RM.render(O.Format, O.Quiet);
   std::fwrite(Doc.data(), 1, Doc.size(), stdout);
   return Exit;
@@ -1222,9 +992,10 @@ void peekCheckpoint(const std::string &Path, uint64_t &EventsOut,
                     uint64_t &LineOut) {
   EventsOut = 0;
   LineOut = 0;
+  Options Config;
   ResumeState RS;
   std::string Error;
-  if (loadHeader(Path, RS, Error)) {
+  if (loadHeader(Path, Config, RS, Error)) {
     EventsOut = RS.EventsSeen;
     LineOut = RS.LineNo;
   }

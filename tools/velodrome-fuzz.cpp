@@ -50,25 +50,17 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "aero/AeroDrome.h"
-#include "analysis/Governor.h"
-#include "atomizer/Atomizer.h"
-#include "core/BasicVelodrome.h"
-#include "core/Velodrome.h"
-#include "deadlock/DeadlockDetector.h"
-#include "eraser/Eraser.h"
+#include "analysis/Stack.h"
 #include "events/BinaryReader.h"
 #include "events/BinaryWriter.h"
 #include "events/TraceGen.h"
 #include "events/TraceSanitizer.h"
 #include "events/TraceText.h"
-#include "hbrace/HbRaceDetector.h"
 #include "parallel/Fanout.h"
 #include "report/Report.h"
 #include "staticpass/StaticPipeline.h"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,6 +71,7 @@
 #include <string>
 #include <vector>
 
+#include "support/Parse.h"
 #include "support/Syscalls.h"
 
 using namespace velo;
@@ -454,52 +447,52 @@ bool binarySalvagesToPrefix(const std::string &Bytes, const Trace &Full,
   return true;
 }
 
-/// Check 7 helper: replay T straight through one instance of BackendT, then
-/// for a few split points replay the prefix, serialize, restore into a
-/// fresh instance, replay the suffix, and require the final serialized
-/// state to be byte-identical to the straight run's.
-template <typename BackendT>
-bool snapshotRoundTrips(const Trace &T, const char *Name, FuzzStats &Stats,
-                        std::string &WhyOut) {
-  BackendT Full;
-  Full.beginAnalysis(T.symbols());
+/// Check 7 helper: replay T straight through one instance of the registry
+/// back-end Name, then for a few split points replay the prefix,
+/// serialize, restore into a fresh instance, replay the suffix, and
+/// require the final serialized state to be byte-identical to the
+/// straight run's.
+bool snapshotRoundTrips(const Trace &T, const std::string &Name,
+                        FuzzStats &Stats, std::string &WhyOut) {
+  std::unique_ptr<Backend> Full = AnalysisStack::make(Name);
+  Full->beginAnalysis(T.symbols());
   for (size_t I = 0; I < T.size(); ++I)
-    Full.onEvent(T[I]);
-  Full.endAnalysis();
+    Full->onEvent(T[I]);
+  Full->endAnalysis();
   SnapshotWriter WFull;
-  Full.serialize(WFull);
+  Full->serialize(WFull);
 
   const size_t Splits[] = {0, T.size() / 2, T.size()};
   for (size_t Split : Splits) {
-    BackendT Prefix;
-    Prefix.beginAnalysis(T.symbols());
+    std::unique_ptr<Backend> Prefix = AnalysisStack::make(Name);
+    Prefix->beginAnalysis(T.symbols());
     for (size_t I = 0; I < Split; ++I)
-      Prefix.onEvent(T[I]);
+      Prefix->onEvent(T[I]);
     SnapshotWriter W;
-    Prefix.serialize(W);
+    Prefix->serialize(W);
 
-    BackendT Restored;
-    Restored.beginAnalysis(T.symbols());
+    std::unique_ptr<Backend> Restored = AnalysisStack::make(Name);
+    Restored->beginAnalysis(T.symbols());
     SnapshotReader R(W.payload());
-    if (!Restored.deserialize(R)) {
-      WhyOut = std::string(Name) + ": deserialize failed at split " +
+    if (!Restored->deserialize(R)) {
+      WhyOut = Name + ": deserialize failed at split " +
                std::to_string(Split);
       return false;
     }
     for (size_t I = Split; I < T.size(); ++I)
-      Restored.onEvent(T[I]);
-    Restored.endAnalysis();
+      Restored->onEvent(T[I]);
+    Restored->endAnalysis();
 
     SnapshotWriter WRestored;
-    Restored.serialize(WRestored);
+    Restored->serialize(WRestored);
     if (WRestored.payload() != WFull.payload()) {
-      WhyOut = std::string(Name) + ": restored state diverges from the "
+      WhyOut = Name + ": restored state diverges from the "
                "straight run after a snapshot at event " +
                std::to_string(Split);
       return false;
     }
-    if (Restored.sawViolation() != Full.sawViolation()) {
-      WhyOut = std::string(Name) + ": restored verdict differs at split " +
+    if (Restored->sawViolation() != Full->sawViolation()) {
+      WhyOut = Name + ": restored verdict differs at split " +
                std::to_string(Split);
       return false;
     }
@@ -587,39 +580,34 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
   }
 
   // 5. No back-end crashes on the repaired trace; verdict checkers agree.
-  Velodrome Velo;
-  BasicVelodrome Basic;
-  AeroDrome Aero;
-  Atomizer Atom;
-  Eraser Race;
-  HbRaceDetector Hb;
-  if (Pool)
-    Pool->replayAll(Repaired, {&Velo, &Basic, &Aero, &Atom, &Race, &Hb});
-  else
-    replayAll(Repaired, {&Velo, &Basic, &Aero, &Atom, &Race, &Hb});
-  if (Velo.sawViolation() != Aero.sawViolation() ||
-      Velo.sawViolation() != Basic.sawViolation()) {
-    WhyOut = "verdicts disagree: Velodrome=" +
-             std::to_string(Velo.sawViolation()) +
-             " Basic=" + std::to_string(Basic.sawViolation()) +
-             " AeroDrome=" + std::to_string(Aero.sawViolation());
+  // The roster is the stack's `all` selection, ungoverned.
+  auto ReplayAll = [Pool](const Trace &T, const std::vector<Backend *> &Bs) {
+    Pool ? Pool->replayAll(T, Bs) : replayAll(T, Bs);
+  };
+  std::string StackErr;
+  AnalysisStack All;
+  All.build("all", StackOptions(), StackErr);
+  ReplayAll(Repaired, All.delivery());
+  const bool VeloSaw = All.backend("velodrome")->sawViolation();
+  const bool BasicSaw = All.backend("basic")->sawViolation();
+  const bool AeroSaw = All.backend("aero")->sawViolation();
+  if (VeloSaw != AeroSaw || VeloSaw != BasicSaw) {
+    WhyOut = "verdicts disagree: Velodrome=" + std::to_string(VeloSaw) +
+             " Basic=" + std::to_string(BasicSaw) +
+             " AeroDrome=" + std::to_string(AeroSaw);
     return false;
   }
-  (Velo.sawViolation() ? Stats.Violations : Stats.Serializable)++;
+  (VeloSaw ? Stats.Violations : Stats.Serializable)++;
 
   // 6. The governor degrades and stops without aborting under tiny caps.
-  Velodrome GVelo;
-  AeroDrome GAero;
-  GovernorLimits Caps;
-  Caps.MaxLiveNodes = 4;
-  Caps.MaxEvents = Repaired.size() > 8 ? Repaired.size() / 2 : 0;
-  GovernedAnalysis Gov(GVelo, &GAero, Caps,
-                       [&GVelo](uint64_t &Nodes, uint64_t &Bytes) {
-                         Nodes = GVelo.graph().nodesAlive();
-                         Bytes = Nodes * 256;
-                       });
-  replay(Repaired, Gov);
-  if (Gov.verdict() == GovernorVerdict::Violation && !Velo.sawViolation()) {
+  StackOptions Capped;
+  Capped.Limits.MaxLiveNodes = 4;
+  Capped.Limits.MaxEvents = Repaired.size() > 8 ? Repaired.size() / 2 : 0;
+  AnalysisStack Governed;
+  Governed.build(std::vector<std::string>{"velodrome", "aero"}, Capped,
+                 StackErr);
+  replayAll(Repaired, Governed.delivery());
+  if (Governed.verdict().Exit == 1 && !VeloSaw) {
     WhyOut = "governed analysis reported a violation the full run did not";
     return false;
   }
@@ -642,16 +630,11 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
       return false;
     }
   }
-  if (!snapshotRoundTrips<Velodrome>(Repaired, "Velodrome", Stats, WhyOut) ||
-      !snapshotRoundTrips<BasicVelodrome>(Repaired, "BasicVelodrome", Stats,
-                                          WhyOut) ||
-      !snapshotRoundTrips<AeroDrome>(Repaired, "AeroDrome", Stats, WhyOut) ||
-      !snapshotRoundTrips<Atomizer>(Repaired, "Atomizer", Stats, WhyOut) ||
-      !snapshotRoundTrips<Eraser>(Repaired, "Eraser", Stats, WhyOut) ||
-      !snapshotRoundTrips<HbRaceDetector>(Repaired, "HB", Stats, WhyOut))
-    return false;
+  for (const std::string &Name : AnalysisStack::allNames())
+    if (!snapshotRoundTrips(Repaired, Name, Stats, WhyOut))
+      return false;
 
-  // 8. Static reduction invariance across all six back-ends (against the
+  // 8. Static reduction invariance across the `all` roster (against the
   // check-5 instances), plus idempotence of the reduction itself.
   {
     ReductionPlan Plan = planTrace(Repaired, PassMask::all());
@@ -659,24 +642,13 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
     Trace Reduced = reduceTrace(Repaired, Plan, &RStats);
     Stats.ReducedDropped += RStats.droppedTotal();
 
-    Velodrome RVelo;
-    BasicVelodrome RBasic;
-    AeroDrome RAero;
-    Atomizer RAtom;
-    Eraser RRace;
-    HbRaceDetector RHb;
-    if (Pool)
-      Pool->replayAll(Reduced, {&RVelo, &RBasic, &RAero, &RAtom, &RRace,
-                                &RHb});
-    else
-      replayAll(Reduced, {&RVelo, &RBasic, &RAero, &RAtom, &RRace, &RHb});
+    AnalysisStack OnReduced;
+    OnReduced.build("all", StackOptions(), StackErr);
+    ReplayAll(Reduced, OnReduced.delivery());
 
-    const Backend *Unreduced[] = {&Velo, &Basic, &Aero, &Atom, &Race, &Hb};
-    const Backend *OnReduced[] = {&RVelo, &RBasic, &RAero,
-                                  &RAtom, &RRace, &RHb};
-    for (size_t I = 0; I < 6; ++I) {
-      const Backend &U = *Unreduced[I];
-      const Backend &Rd = *OnReduced[I];
+    for (size_t I = 0; I < All.reporting().size(); ++I) {
+      const Backend &U = *All.reporting()[I];
+      const Backend &Rd = *OnReduced.reporting()[I];
       if (U.sawViolation() != Rd.sawViolation()) {
         WhyOut = std::string(U.name()) +
                  ": verdict changed under --reduce=all (unreduced=" +
@@ -823,35 +795,31 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
 
   // 11. The deadlock checker and the structured report layer.
   {
-    DeadlockDetector Dlk;
-    replay(Repaired, Dlk);
-    Stats.DeadlockCycles += Dlk.warnings().size();
+    std::unique_ptr<Backend> Dlk = AnalysisStack::make("deadlock");
+    replay(Repaired, *Dlk);
+    Stats.DeadlockCycles += Dlk->warnings().size();
 
     // Reduce invariance: the static passes drop only accesses, so the
     // nested-acquisition order graph — and therefore the cycle list — is
     // identical on the reduced trace.
     Trace DlkReduced =
         reduceTrace(Repaired, planTrace(Repaired, PassMask::all()), nullptr);
-    DeadlockDetector RDlk;
-    replay(DlkReduced, RDlk);
-    if (Dlk.warnings().size() != RDlk.warnings().size()) {
+    std::unique_ptr<Backend> RDlk = AnalysisStack::make("deadlock");
+    replay(DlkReduced, *RDlk);
+    if (Dlk->warnings().size() != RDlk->warnings().size()) {
       WhyOut = "Deadlock: cycle count changed under --reduce=all (" +
-               std::to_string(Dlk.warnings().size()) + " vs " +
-               std::to_string(RDlk.warnings().size()) + ")";
+               std::to_string(Dlk->warnings().size()) + " vs " +
+               std::to_string(RDlk->warnings().size()) + ")";
       return false;
     }
-    for (size_t J = 0; J < Dlk.warnings().size(); ++J)
-      if (Dlk.warnings()[J].Message != RDlk.warnings()[J].Message) {
+    for (size_t J = 0; J < Dlk->warnings().size(); ++J)
+      if (Dlk->warnings()[J].Message != RDlk->warnings()[J].Message) {
         WhyOut = "Deadlock: cycle " + std::to_string(J) +
                  " changed under --reduce=all: '" +
-                 Dlk.warnings()[J].Message + "' vs '" +
-                 RDlk.warnings()[J].Message + "'";
+                 Dlk->warnings()[J].Message + "' vs '" +
+                 RDlk->warnings()[J].Message + "'";
         return false;
       }
-
-    if (!snapshotRoundTrips<DeadlockDetector>(Repaired, "Deadlock", Stats,
-                                              WhyOut))
-      return false;
 
     // The full multi-checker report, as velodrome-check would assemble it,
     // must render to well-formed JSON in both machine formats — and the
@@ -863,13 +831,8 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
     RM.Run.Events = Repaired.size();
     RM.Run.SanitizedEvents = Repaired.size();
     RM.Run.Threads = Repaired.numThreads();
-    RM.Run.Verdict =
-        Velo.sawViolation() ? "NOT conflict-serializable" : "serializable";
-    RM.Run.ExitCode = Velo.sawViolation() ? 1 : 0;
-    const Backend *ReportBackends[] = {&Velo, &Basic, &Aero, &Atom,
-                                       &Race, &Hb,   &Dlk};
-    for (const Backend *B : ReportBackends)
-      RM.addSection(B->name(), B->warnings(), &Repaired.symbols());
+    All.report(RM, &Repaired.symbols());
+    RM.addSection(Dlk->name(), Dlk->warnings(), &Repaired.symbols());
     const std::string Json = RM.renderJson();
     if (!JsonValidator(Json).valid()) {
       WhyOut = "report JSON is not well formed: " + Json.substr(0, 200);
@@ -882,20 +845,19 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
     }
 
     SnapshotWriter DlkW;
-    Dlk.serialize(DlkW);
-    DeadlockDetector DlkBack;
-    DlkBack.beginAnalysis(Repaired.symbols());
+    Dlk->serialize(DlkW);
+    std::unique_ptr<Backend> DlkBack = AnalysisStack::make("deadlock");
+    DlkBack->beginAnalysis(Repaired.symbols());
     SnapshotReader DlkR(DlkW.payload());
-    if (!DlkBack.deserialize(DlkR)) {
+    if (!DlkBack->deserialize(DlkR)) {
       WhyOut = "Deadlock: report snapshot failed to restore";
       return false;
     }
     ReportManager RM2;
     RM2.Run = RM.Run;
-    for (const Backend *B : ReportBackends)
-      RM2.addSection(B->name(),
-                     B == &Dlk ? DlkBack.warnings() : B->warnings(),
-                     &Repaired.symbols());
+    for (const Backend *B : All.reporting())
+      RM2.addSection(B->name(), B->warnings(), &Repaired.symbols());
+    RM2.addSection(DlkBack->name(), DlkBack->warnings(), &Repaired.symbols());
     if (RM2.renderJson() != Json) {
       WhyOut = "report JSON changed across a snapshot round-trip";
       return false;
@@ -916,15 +878,10 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     auto U64 = [&](size_t Prefix, uint64_t &Out) {
-      char *End = nullptr;
-      errno = 0;
-      unsigned long long V = std::strtoull(Arg.c_str() + Prefix, &End, 10);
-      if (errno != 0 || End == Arg.c_str() + Prefix || *End != '\0') {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        return false;
-      }
-      Out = V;
-      return true;
+      if (parseU64(Arg.c_str() + Prefix, Out))
+        return true;
+      std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
+      return false;
     };
     if (Arg.rfind("--corpus=", 0) == 0) {
       CorpusDir = Arg.substr(9);

@@ -37,10 +37,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "aero/AeroDrome.h"
-#include "analysis/Governor.h"
 #include "analysis/SanitizerGate.h"
+#include "analysis/Stack.h"
 #include "analysis/TraceRecorder.h"
-#include "atomizer/Atomizer.h"
 #include "core/Velodrome.h"
 #include "events/TraceText.h"
 #include "report/Report.h"
@@ -53,6 +52,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "support/Parse.h"
 #include "support/Syscalls.h"
 
 using namespace velo;
@@ -71,20 +71,6 @@ void usage() {
                "  --format=text|json|sarif   report rendering\n"
                "  --max-events=N  --max-live-nodes=N  --max-memory-mb=N\n"
                "  --deadline-ms=N      resource governor caps\n");
-}
-
-/// Parse a full decimal uint64 ("--seed="). Rejects empty strings, trailing
-/// garbage, signs, and out-of-range values.
-bool parseU64(const char *S, uint64_t &Out) {
-  if (*S == '\0' || *S == '-' || *S == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (errno != 0 || End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
 }
 
 /// Parse a positive decimal int ("--scale="). Rejects 0, negatives,
@@ -125,14 +111,11 @@ int main(int argc, char **argv) {
   StallPolicy Policy = StallPolicy::AllOps;
   std::vector<std::string> Disabled;
   GovernorLimits Limits;
-  // Same default as velodrome-check: runaway executions degrade to the
-  // vector-clock spare before the graph's 16-bit slot space is at risk.
-  Limits.MaxLiveNodes = 60000;
+  Limits.MaxLiveNodes = DefaultMaxLiveNodes;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
-    uint64_t *U64Target = nullptr;
-    size_t U64Prefix = 0;
+    bool Valid = true;
     if (Arg == "--list") {
       listWorkloads();
       return 0;
@@ -194,18 +177,12 @@ int main(int argc, char **argv) {
         usage();
         return 2;
       }
-    } else if (Arg.rfind("--max-events=", 0) == 0) {
-      U64Target = &Limits.MaxEvents;
-      U64Prefix = 13;
-    } else if (Arg.rfind("--max-live-nodes=", 0) == 0) {
-      U64Target = &Limits.MaxLiveNodes;
-      U64Prefix = 17;
-    } else if (Arg.rfind("--max-memory-mb=", 0) == 0) {
-      U64Target = &Limits.MaxMemoryBytes;
-      U64Prefix = 16;
-    } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      U64Target = &Limits.DeadlineMillis;
-      U64Prefix = 14;
+    } else if (parseLimitFlag(Arg, Limits, Valid)) {
+      if (!Valid) {
+        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
+        usage();
+        return 2;
+      }
     } else if (Arg == "--help" || Arg == "-h") {
       usage();
       return 0;
@@ -218,15 +195,6 @@ int main(int argc, char **argv) {
     } else {
       usage();
       return 2;
-    }
-    if (U64Target) {
-      if (!parseU64(Arg.c_str() + U64Prefix, *U64Target)) {
-        std::fprintf(stderr, "invalid value in '%s'\n", Arg.c_str());
-        usage();
-        return 2;
-      }
-      if (U64Target == &Limits.MaxMemoryBytes)
-        *U64Target *= 1024 * 1024;
     }
   }
   if (Name.empty()) {
@@ -267,51 +235,32 @@ int main(int argc, char **argv) {
   Opts.Adversarial = Adversarial;
   Opts.Policy = Policy;
 
-  Velodrome Velo;
-  AeroDrome Aero;
-  Atomizer Atom;
+  // The live path runs under the same analysis stack as the offline
+  // checker: the graph checker as the governed primary, the vector-clock
+  // checker as its lockstep hot spare (fed from the start even when not
+  // selected for reporting, so a mid-run degradation loses no verdict
+  // coverage), and the Atomizer, which guides the adversarial scheduler.
+  std::vector<std::string> Names = {"atomizer"};
+  if (RunVelo)
+    Names.push_back("velodrome");
+  if (RunAero)
+    Names.push_back("aero");
+  StackOptions SOpts;
+  SOpts.Limits = Limits;
+  SOpts.HotSpare = true;
+  AnalysisStack Stack;
+  std::string Unused; // every name above is in the registry
+  Stack.build(Names, SOpts, Unused);
+  const Velodrome *Velo = Stack.get<Velodrome>("velodrome");
+  const AeroDrome *Aero = RunAero ? Stack.get<AeroDrome>("aero") : nullptr;
+  Backend *Atom = Stack.backend("atomizer");
   TraceRecorder Rec;
 
-  // The live path runs under the same resource governor as the offline
-  // checker: the graph checker as primary, the vector-clock checker as its
-  // lockstep hot spare (fed from the start even when not selected for
-  // reporting, so a mid-run degradation loses no verdict coverage).
-  Backend *Primary = RunVelo   ? static_cast<Backend *>(&Velo)
-                     : RunAero ? static_cast<Backend *>(&Aero)
-                               : nullptr;
-  Backend *Fallback = RunVelo ? static_cast<Backend *>(&Aero) : nullptr;
-  GovernedAnalysis::Probe Probe;
-  GovernedAnalysis::FailProbe FailProbe;
-  if (Primary == &Velo) {
-    Probe = [&Velo](uint64_t &Nodes, uint64_t &Bytes) {
-      Nodes = Velo.graph().nodesAlive();
-      Bytes = Nodes * 256;
-    };
-    FailProbe = [&Velo]() -> std::string {
-      return Velo.graphExhausted() ? "happens-before graph node slot space "
-                                     "exhausted"
-                                   : "";
-    };
-  }
-  bool Governed = Primary != nullptr && Limits.any();
-  GovernedAnalysis Gov(Governed ? *Primary : Velo, Fallback, Limits,
-                       std::move(Probe), std::move(FailProbe));
-
-  std::vector<Backend *> Backends;
-  if (Governed) {
-    Backends.push_back(&Gov);
-  } else {
-    if (RunVelo)
-      Backends.push_back(&Velo);
-    if (RunAero)
-      Backends.push_back(&Aero);
-  }
-  Backends.push_back(&Atom);
   // Under --reduce the analyses run offline on the reduced recording, so
   // the live stream reaches only the recorder.
   std::vector<Backend *> Live;
   if (!Reducing)
-    Live = Backends;
+    Live = Stack.delivery();
   if (!RecordFile.empty() || Reducing)
     Live.push_back(&Rec);
   // Defense in depth: the runtime's own stream is well-formed by
@@ -322,7 +271,7 @@ int main(int argc, char **argv) {
   SanitizerGate Gate(Live, SanitizeMode::Strict);
   Runtime RT(Opts, {&Gate});
   if (Adversarial)
-    RT.setGuide(&Atom);
+    RT.setGuide(Atom);
   if (ExcludeKnown)
     for (const std::string &M : W->nonAtomicMethods())
       RT.excludeMethod(M);
@@ -343,7 +292,7 @@ int main(int argc, char **argv) {
   if (Reducing) {
     ReductionPlan Plan = planTrace(Rec.trace(), ReduceMask);
     Reduced = reduceTrace(Rec.trace(), Plan, &ReduceStats);
-    replayAll(Reduced, Backends);
+    replayAll(Reduced, Stack.delivery());
   }
 
   // The workload summary keeps its historical text layout; --format=json
@@ -357,27 +306,23 @@ int main(int argc, char **argv) {
   RM.Run.SanitizedEvents = Reducing ? Reduced.size() : RT.eventCount();
   RM.Run.Threads =
       (!RecordFile.empty() || Reducing) ? Rec.trace().numThreads() : 0;
-  if (RunVelo)
-    RM.addSection(Velo.name(), Velo.warnings(), &RT.symbols());
-  if (RunAero)
-    RM.addSection(Aero.name(), Aero.warnings(), &RT.symbols());
-  RM.addSection(Atom.name(), Atom.warnings(), &RT.symbols());
+  const int Exit = Stack.report(RM, &RT.symbols());
 
   if (Text)
     std::printf("%s: seed=%llu scale=%d events=%llu\n", W->name(),
                 static_cast<unsigned long long>(Seed), Scale,
                 static_cast<unsigned long long>(RT.eventCount()));
-  if (RunVelo && Text) {
-    std::printf("[Velodrome] %zu violation(s)\n", Velo.violations().size());
-    for (const AtomicityViolation &V : Velo.violations())
+  if (Velo && Text) {
+    std::printf("[Velodrome] %zu violation(s)\n", Velo->violations().size());
+    for (const AtomicityViolation &V : Velo->violations())
       std::printf("  %s (%s, cycle of %zu)\n",
                   RT.symbols().labelName(V.Method).c_str(),
                   V.BlameResolved ? "blame resolved" : "blame unresolved",
                   V.CycleLength);
   }
-  if (RunAero && Text) {
-    std::printf("[AeroDrome] %zu violation(s)\n", Aero.violations().size());
-    for (const AeroViolation &V : Aero.violations())
+  if (Aero && Text) {
+    std::printf("[AeroDrome] %zu violation(s)\n", Aero->violations().size());
+    for (const AeroViolation &V : Aero->violations())
       std::printf("  %s (witness T%u)\n",
                   V.Method == NoLabel
                       ? "(unary)"
@@ -386,15 +331,16 @@ int main(int argc, char **argv) {
   }
   // A degraded run legitimately stops feeding the graph checker early, so
   // the cross-check only applies while both saw the whole stream.
-  if (RunVelo && RunAero && (!Governed || Gov.state() == GovernorState::Normal)
-      && Velo.sawViolation() != Aero.sawViolation())
+  const GovernedAnalysis *Gov = Stack.governor();
+  if (Velo && Aero && (!Gov || Gov->state() == GovernorState::Normal) &&
+      Velo->sawViolation() != Aero->sawViolation())
     std::fprintf(stderr,
                  "warning: backend verdicts disagree "
                  "(Velodrome=%d AeroDrome=%d)\n",
-                 Velo.sawViolation(), Aero.sawViolation());
+                 Velo->sawViolation(), Aero->sawViolation());
   if (Text) {
-    std::printf("[Atomizer]  %zu warning(s)\n", Atom.warnings().size());
-    for (const Warning &Warn : Atom.warnings())
+    std::printf("[Atomizer]  %zu warning(s)\n", Atom->warnings().size());
+    for (const Warning &Warn : Atom->warnings())
       std::printf("  %s\n", Warn.Message.c_str());
     if (Reducing)
       std::printf("[reduce]    %s\n", ReduceStats.summary().c_str());
@@ -409,35 +355,9 @@ int main(int argc, char **argv) {
       std::printf("trace written to %s (%zu events)\n", RecordFile.c_str(),
                   Rec.trace().size());
   }
-  int Exit = 0;
-  if (Governed) {
-    if (Gov.state() != GovernorState::Normal)
-      std::fprintf(stderr, "governor: %s%s\n", Gov.breachReason().c_str(),
-                   Gov.state() == GovernorState::Degraded
-                       ? "; fell back to the vector-clock checker"
-                       : "; analysis stopped");
-    switch (Gov.verdict()) {
-    case GovernorVerdict::Violation:
-      RM.Run.Verdict = "NOT conflict-serializable";
-      Exit = 1;
-      break;
-    case GovernorVerdict::Unknown:
-      if (Text)
-        std::printf("verdict: resource-limited: verdict unknown\n");
-      RM.Run.Verdict = "resource-limited: verdict unknown";
-      Exit = 3;
-      break;
-    case GovernorVerdict::Serializable:
-      RM.Run.Verdict = "serializable";
-      break;
-    }
-  } else {
-    bool Violation =
-        (RunVelo && Velo.sawViolation()) || (RunAero && Aero.sawViolation());
-    RM.Run.Verdict = Violation ? "NOT conflict-serializable" : "serializable";
-    Exit = Violation ? 1 : 0;
-  }
-  RM.Run.ExitCode = Exit;
+  std::fputs(Stack.governorNote().c_str(), stderr);
+  if (Text && Exit == 3)
+    std::printf("verdict: %s\n", RM.Run.Verdict.c_str());
   if (!Text) {
     const std::string Doc = RM.render(Format);
     std::fwrite(Doc.data(), 1, Doc.size(), stdout);

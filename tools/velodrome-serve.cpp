@@ -40,9 +40,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Server.h"
+#include "support/Parse.h"
 #include "support/Syscalls.h"
 
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -85,18 +85,6 @@ void usage() {
       "128+N stopped by signal N\n");
 }
 
-bool parseU64(const char *S, uint64_t &Out) {
-  if (*S == '\0' || *S == '-' || *S == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (errno != 0 || End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
-
 struct ToolOptions {
   ServerOptions Srv;
   bool TcpSet = false;
@@ -112,6 +100,7 @@ int parseArgs(int argc, char **argv, ToolOptions &O) {
     std::string Arg = argv[I];
     uint64_t *U64Target = nullptr;
     size_t U64Prefix = 0;
+    bool Valid = true;
     if (Arg == "--help" || Arg == "-h") {
       usage();
       return -1;
@@ -164,22 +153,8 @@ int parseArgs(int argc, char **argv, ToolOptions &O) {
     } else if (Arg.rfind("--frame-timeout-ms=", 0) == 0) {
       U64Target = &O.Srv.FrameTimeoutMillis;
       U64Prefix = 19;
-    } else if (Arg.rfind("--max-events=", 0) == 0) {
-      U64Target = &O.Srv.SessionLimits.MaxEvents;
-      U64Prefix = 13;
-    } else if (Arg.rfind("--max-live-nodes=", 0) == 0) {
-      U64Target = &O.Srv.SessionLimits.MaxLiveNodes;
-      U64Prefix = 17;
-    } else if (Arg.rfind("--max-memory-mb=", 0) == 0) {
-      uint64_t Mb = 0;
-      if (!parseU64(Arg.c_str() + 16, Mb)) {
-        std::fprintf(stderr, "error: bad value in '%s'\n", Arg.c_str());
-        return 2;
-      }
-      O.Srv.SessionLimits.MaxMemoryBytes = Mb * 1024 * 1024;
-    } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      U64Target = &O.Srv.SessionLimits.DeadlineMillis;
-      U64Prefix = 14;
+    } else if (parseLimitFlag(Arg, O.Srv.SessionLimits, Valid)) {
+      // Valid is checked below with the other numeric flags.
     } else if (Arg.rfind("--max-crashes=", 0) == 0) {
       U64Target = &O.MaxCrashes;
       U64Prefix = 14;
@@ -191,7 +166,8 @@ int parseArgs(int argc, char **argv, ToolOptions &O) {
       usage();
       return 2;
     }
-    if (U64Target && !parseU64(Arg.c_str() + U64Prefix, *U64Target)) {
+    if (!Valid ||
+        (U64Target && !parseU64(Arg.c_str() + U64Prefix, *U64Target))) {
       std::fprintf(stderr, "error: bad value in '%s'\n", Arg.c_str());
       return 2;
     }
