@@ -85,6 +85,10 @@ struct GenParam {
   int NumSeeds;
 };
 
+// Print the shape name, not gtest's byte dump (which holds a pointer and so
+// changes from run to run), so the listed test name is stable.
+void PrintTo(const GenParam &P, std::ostream *OS) { *OS << P.Name; }
+
 TraceGenOptions shape(uint32_t Threads, uint32_t Vars, uint32_t Locks,
                       size_t Steps, bool ForkJoin, unsigned GuardedPct,
                       int MaxDepth = 2) {

@@ -26,6 +26,10 @@ struct GoldenCase {
   const char *Blame; // expected blamed method, or "" when serializable
 };
 
+// Without this gtest names each case by a byte dump of the struct, whose
+// pointers differ from run to run; print the file so the name is stable.
+void PrintTo(const GoldenCase &Case, std::ostream *OS) { *OS << Case.File; }
+
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTrace, FileVerdictAndBlameMatch) {

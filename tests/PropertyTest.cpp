@@ -27,6 +27,10 @@ struct PropParam {
   int NumSeeds;
 };
 
+// Print the shape name, not gtest's byte dump (which holds a pointer and so
+// changes from run to run), so the listed test name is stable.
+void PrintTo(const PropParam &P, std::ostream *OS) { *OS << P.Name; }
+
 void checkAgreement(const Trace &T, uint64_t Seed, const char *Shape) {
   ASSERT_TRUE(T.validate()) << Shape << " seed " << Seed;
 
