@@ -63,8 +63,7 @@ std::unique_ptr<Backend> makeVelodrome(const StackOptions &S) {
 GovernedAnalysis::Probe velodromeProbe(Backend &B) {
   return [V = static_cast<Velodrome *>(&B)](uint64_t &Nodes, uint64_t &Bytes) {
     Nodes = V->graph().nodesAlive();
-    // Rough per-node footprint: slot bookkeeping + edges + ancestor set.
-    Bytes = Nodes * 256;
+    Bytes = V->graph().memoryBytes();
   };
 }
 

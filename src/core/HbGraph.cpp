@@ -2,6 +2,7 @@
 
 #include "core/HbGraph.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +36,8 @@ Step HbGraph::allocNode(Tid Owner, Label Root, bool Active) {
     }
     Slot = static_cast<NodeId>(Slots.size());
     Slots.emplace_back();
+    VisitMark.push_back(0);
+    MemBytes += sizeof(Node);
   }
   Node &N = Slots[Slot];
   assert(!N.InUse && "allocating an in-use slot");
@@ -70,18 +73,29 @@ bool HbGraph::happensBeforeEq(NodeId A, NodeId B) const {
   return A == B || Slots[B].Ancestors.contains(A);
 }
 
+void HbGraph::beginVisit() {
+  if (++VisitEpoch == 0) { // wrapped: old marks could alias the new epoch
+    std::fill(VisitMark.begin(), VisitMark.end(), 0);
+    VisitEpoch = 1;
+  }
+}
+
+bool HbGraph::visit(NodeId Slot) {
+  if (VisitMark[Slot] == VisitEpoch)
+    return false;
+  VisitMark[Slot] = VisitEpoch;
+  return true;
+}
+
 void HbGraph::buildCycleReport(NodeId From, NodeId To, const HbEdge &Closing,
-                               CycleReport &Out) const {
+                               CycleReport &Out) {
   // Find a path From => To in the acyclic live graph by DFS; the closing
   // edge To -> From (already rejected) completes the cycle.
-  struct Frame {
-    NodeId Node;
-    size_t NextEdge;
-  };
-  std::vector<Frame> Stack;
-  FlatSet<NodeId> Visited;
+  std::vector<Frame> &Stack = PathStack;
+  Stack.clear();
+  beginVisit();
   Stack.push_back({From, 0});
-  Visited.insert(From);
+  visit(From);
   while (!Stack.empty()) {
     Frame &F = Stack.back();
     if (F.Node == To)
@@ -94,11 +108,9 @@ void HbGraph::buildCycleReport(NodeId From, NodeId To, const HbEdge &Closing,
     const HbEdge &E = N.Out[F.NextEdge++];
     // Only traverse toward nodes that can reach To (ancestor pruning keeps
     // this linear in the cycle length for typical graphs).
-    if (!Visited.contains(E.Dst) &&
-        (E.Dst == To || Slots[To].Ancestors.contains(E.Dst))) {
-      Visited.insert(E.Dst);
+    if ((E.Dst == To || Slots[To].Ancestors.contains(E.Dst)) &&
+        visit(E.Dst))
       Stack.push_back({E.Dst, 0});
-    }
   }
   assert(!Stack.empty() && "cycle path must exist when ancestors say so");
 
@@ -173,20 +185,28 @@ HbGraph::AddEdgeResult HbGraph::addEdge(Step From, Step To,
   E.TailStamp = From.stamp();
   E.HeadStamp = To.stamp();
   E.Info = Info;
-  Slots[A].Out.push_back(E);
+  std::vector<HbEdge> &Out = Slots[A].Out;
+  size_t OutCap = Out.capacity();
+  Out.push_back(E);
+  MemBytes += (Out.capacity() - OutCap) * sizeof(HbEdge);
   ++NumEdges;
   ++Slots[B].RefCount;
 
   // Propagate ancestors: B and all its descendants gain Ancestors(A)+{A}.
   // Pruning on "did not grow" is sound because ancestor sets are closed
   // (child's set always contains parent's set plus the parent).
-  FlatSet<NodeId> Gain = Slots[A].Ancestors;
+  Gain = Slots[A].Ancestors;
   Gain.insert(A);
-  std::vector<NodeId> Work{B};
+  Work.clear();
+  Work.push_back(B);
   while (!Work.empty()) {
     NodeId X = Work.back();
     Work.pop_back();
-    if (!Slots[X].Ancestors.unionWith(Gain))
+    SlotBitset &Anc = Slots[X].Ancestors;
+    size_t AncBytes = Anc.heapBytes();
+    bool Grew = Anc.unionWith(Gain);
+    MemBytes += Anc.heapBytes() - AncBytes;
+    if (!Grew)
       continue;
     for (const HbEdge &Succ : Slots[X].Out)
       Work.push_back(Succ.Dst);
@@ -204,7 +224,8 @@ void HbGraph::finishNode(NodeId Slot) {
 }
 
 void HbGraph::collect(NodeId Slot) {
-  std::vector<NodeId> Work{Slot};
+  Work.clear();
+  Work.push_back(Slot);
   while (!Work.empty()) {
     NodeId S = Work.back();
     Work.pop_back();
@@ -214,20 +235,18 @@ void HbGraph::collect(NodeId Slot) {
     // Remove S from the ancestor sets of everything it reaches. Because S
     // has no incoming edges, no other node's ancestry passes through S, so
     // erasing S itself is the only repair needed.
-    {
-      FlatSet<NodeId> Visited;
-      std::vector<NodeId> Dfs;
-      for (const HbEdge &E : N.Out)
+    beginVisit();
+    Dfs.clear();
+    for (const HbEdge &E : N.Out)
+      Dfs.push_back(E.Dst);
+    while (!Dfs.empty()) {
+      NodeId X = Dfs.back();
+      Dfs.pop_back();
+      if (!visit(X))
+        continue;
+      Slots[X].Ancestors.erase(S);
+      for (const HbEdge &E : Slots[X].Out)
         Dfs.push_back(E.Dst);
-      while (!Dfs.empty()) {
-        NodeId X = Dfs.back();
-        Dfs.pop_back();
-        if (!Visited.insert(X))
-          continue;
-        Slots[X].Ancestors.erase(S);
-        for (const HbEdge &E : Slots[X].Out)
-          Dfs.push_back(E.Dst);
-      }
     }
 
     // Drop outgoing edges; successors whose last reference this was are
@@ -251,7 +270,8 @@ void HbGraph::collect(NodeId Slot) {
 Step HbGraph::merge(const std::vector<Step> &Inputs, Tid Owner,
                     const EdgeInfo &Info) {
   // Resolve and deduplicate by slot (keeping the latest stamp per slot).
-  std::vector<Step> Live;
+  std::vector<Step> &Live = MergeLive;
+  Live.clear();
   for (Step S : Inputs) {
     S = resolve(S);
     if (S.isBottom())
@@ -307,6 +327,9 @@ Step HbGraph::merge(const std::vector<Step> &Inputs, Tid Owner,
 void HbGraph::clear() {
   Slots.clear();
   FreeList.clear();
+  VisitMark.clear();
+  VisitEpoch = 0;
+  MemBytes = 0;
   NumAllocated = NumEdges = NumMerged = 0;
   Alive = HighWater();
   Full = false;
@@ -352,6 +375,7 @@ bool HbGraph::deserialize(SnapshotReader &R) {
   if (R.failed() || NumSlots > Step::MaxSlots)
     return false;
   Slots.resize(NumSlots);
+  VisitMark.assign(NumSlots, 0);
   for (Node &N : Slots) {
     N.InUse = R.boolean();
     N.Active = R.boolean();
@@ -403,7 +427,15 @@ bool HbGraph::deserialize(SnapshotReader &R) {
   uint64_t Peak = R.u64();
   Alive.restore(Cur, Peak);
   Full = R.boolean();
+  MemBytes = countMemoryBytes();
   return !R.failed();
+}
+
+uint64_t HbGraph::countMemoryBytes() const {
+  uint64_t Bytes = Slots.size() * sizeof(Node);
+  for (const Node &N : Slots)
+    Bytes += N.Out.capacity() * sizeof(HbEdge) + N.Ancestors.heapBytes();
+  return Bytes;
 }
 
 } // namespace velo

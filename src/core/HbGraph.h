@@ -11,9 +11,13 @@
 //    collected immediately; collection cascades along its outgoing edges.
 //
 //  * Ancestor sets: each live node knows the set of live nodes that reach
-//    it, so a cycle-closing edge is detected at insertion time in O(set
-//    lookup), the graph is kept acyclic (the offending edge is reported and
-//    not added), and merge()'s happens-before queries are O(set lookup).
+//    it, kept as a bitset over slot ids, so a cycle-closing edge is
+//    detected at insertion time by one bit test, the graph is kept acyclic
+//    (the offending edge is reported and not added), and merge()'s
+//    happens-before queries are bit tests too. Propagation is a
+//    word-parallel OR, and the traversals reuse per-graph scratch (epoch
+//    visit marks, work stacks), so once the graph has reached its working
+//    size the hot path does not allocate.
 //
 //  * Slot recycling with stale-step detection: L/U/R/W hold weak Step
 //    references; a step whose timestamp is at or below its slot's collection
@@ -32,7 +36,7 @@
 #include "analysis/Snapshot.h"
 #include "core/Step.h"
 #include "events/Event.h"
-#include "support/FlatSet.h"
+#include "support/SlotBitset.h"
 #include "support/Stats.h"
 
 #include <cstdint>
@@ -155,6 +159,13 @@ public:
   uint64_t edgesAdded() const { return NumEdges; }
   uint64_t nodesMerged() const { return NumMerged; }
 
+  /// Bytes the graph holds: one Node per slot plus the heap capacity of
+  /// every slot's edge list and ancestor bitset. Maintained incrementally
+  /// (O(1) per change), so it is cheap enough to read on every event.
+  uint64_t memoryBytes() const { return MemBytes; }
+  /// The same count computed from scratch, in O(slots).
+  uint64_t countMemoryBytes() const;
+
   /// Reset to the empty graph (drops all nodes and statistics).
   void clear();
 
@@ -177,16 +188,37 @@ private:
     /// Steps with stamp <= this are stale (refer to a collected incarnation).
     uint64_t StaleAtOrBelow = 0;
     std::vector<HbEdge> Out;
-    FlatSet<NodeId> Ancestors;
+    SlotBitset Ancestors;
   };
 
   Step freshStamp(NodeId Slot);
   void collect(NodeId Slot); ///< free Slot and cascade.
   void buildCycleReport(NodeId From, NodeId To, const HbEdge &Closing,
-                        CycleReport &Out) const;
+                        CycleReport &Out);
+  /// Start a traversal: afterwards no slot counts as visited.
+  void beginVisit();
+  /// Mark Slot visited in the current traversal; false if it already was.
+  bool visit(NodeId Slot);
 
   std::vector<Node> Slots;
   std::vector<NodeId> FreeList;
+
+  // Traversal scratch, reused across calls so the hot path does not
+  // allocate. A slot is visited in the current traversal iff its mark
+  // equals VisitEpoch.
+  std::vector<uint32_t> VisitMark;
+  uint32_t VisitEpoch = 0;
+  SlotBitset Gain;          ///< addEdge: ancestors(From) + From
+  std::vector<NodeId> Work; ///< addEdge propagation / collect cascade
+  std::vector<NodeId> Dfs;  ///< collect: descendants of the freed node
+  struct Frame {
+    NodeId Node;
+    size_t NextEdge;
+  };
+  std::vector<Frame> PathStack; ///< buildCycleReport's DFS
+  std::vector<Step> MergeLive;  ///< merge: resolved, deduplicated inputs
+
+  uint64_t MemBytes = 0;
 
   uint64_t NumAllocated = 0;
   uint64_t NumEdges = 0;

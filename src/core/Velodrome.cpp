@@ -44,11 +44,11 @@ Step Velodrome::unaryProgramStep(ThreadState &TS, Tid T,
     return Step::bottom();
   if (!Graph.isActive(L.slot()))
     return Graph.tick(L);
-  return Graph.merge({L}, T, Info); // active predecessor: fresh unary node
+  Sources.assign({L});
+  return Graph.merge(Sources, T, Info); // active predecessor: fresh node
 }
 
-Step Velodrome::naiveUnary(Tid T, const std::vector<Step> &Sources,
-                           const EdgeInfo &Info) {
+Step Velodrome::naiveUnary(Tid T, const EdgeInfo &Info) {
   Step S = Graph.allocNode(T, NoLabel, /*Active=*/true);
   if (S.isBottom()) // GraphFull: the operation goes untracked
     return Step::bottom();
@@ -58,8 +58,20 @@ Step Velodrome::naiveUnary(Tid T, const std::vector<Step> &Sources,
   return S;
 }
 
+Step Velodrome::outside(Tid T, const EdgeInfo &Info) {
+  return Opts.UseMerge ? Graph.merge(Sources, T, Info) : naiveUnary(T, Info);
+}
+
 void Velodrome::addEdgeChecked(Step Src, Step Dst, const EdgeInfo &Info,
                                ThreadState &TS) {
+  // A cycle closed here always blames Dst's outermost block (reportCycle),
+  // and only the first cycle per blamed method is reported: once that
+  // method is in ReportedMethods, the edge is still rejected but the cycle
+  // report and its path search are skipped.
+  if (ReportedMethods.count(Graph.rootOf(Dst.slot()))) {
+    Graph.addEdge(Src, Dst, Info, nullptr);
+    return;
+  }
   CycleReport Cycle;
   if (Graph.addEdge(Src, Dst, Info, &Cycle) == HbGraph::AddEdgeResult::Cycle)
     reportCycle(Cycle, TS);
@@ -146,11 +158,8 @@ void Velodrome::onAcquire(const Event &E) {
     TS.Last = S;
     return;
   }
-  if (Opts.UseMerge) {
-    TS.Last = Graph.merge({TS.Last, U}, E.Thread, Info);
-    return;
-  }
-  TS.Last = naiveUnary(E.Thread, {TS.Last, U}, Info);
+  Sources.assign({TS.Last, U});
+  TS.Last = outside(E.Thread, Info);
 }
 
 void Velodrome::onRelease(const Event &E) {
@@ -171,7 +180,8 @@ void Velodrome::onRelease(const Event &E) {
     TS.Last = S;
     return;
   }
-  Step S = naiveUnary(E.Thread, {TS.Last}, Info);
+  Sources.assign({TS.Last});
+  Step S = naiveUnary(E.Thread, Info);
   LastUnlock[E.lock()] = S;
   TS.Last = S;
 }
@@ -192,8 +202,8 @@ void Velodrome::onRead(const Event &E) {
     TS.Last = S;
     return;
   }
-  Step S = Opts.UseMerge ? Graph.merge({TS.Last, W}, E.Thread, Info)
-                         : naiveUnary(E.Thread, {TS.Last, W}, Info);
+  Sources.assign({TS.Last, W});
+  Step S = outside(E.Thread, Info);
   Reads[E.Thread] = S;
   TS.Last = S;
 }
@@ -215,13 +225,9 @@ void Velodrome::onWrite(const Event &E) {
     TS.Last = S;
     return;
   }
-  std::vector<Step> Sources;
-  Sources.push_back(TS.Last);
-  Sources.push_back(W);
-  for (Step R : Reads)
-    Sources.push_back(R);
-  Step S = Opts.UseMerge ? Graph.merge(Sources, E.Thread, Info)
-                         : naiveUnary(E.Thread, Sources, Info);
+  Sources.assign({TS.Last, W});
+  Sources.insert(Sources.end(), Reads.begin(), Reads.end());
+  Step S = outside(E.Thread, Info);
   Reads.clear();
   W = S;
   TS.Last = S;
@@ -238,7 +244,8 @@ void Velodrome::onFork(const Event &E) {
     // Program order only, like outside-release.
     S = unaryProgramStep(TS, E.Thread, {Op::Fork, E.child(), E.Thread});
   } else {
-    S = naiveUnary(E.Thread, {TS.Last}, {Op::Fork, E.child(), E.Thread});
+    Sources.assign({TS.Last});
+    S = naiveUnary(E.Thread, {Op::Fork, E.child(), E.Thread});
   }
   TS.Last = S;
   // The fork step may come back stale: naiveUnary (and merge) can hand out
@@ -263,9 +270,8 @@ void Velodrome::onJoin(const Event &E) {
     TS.Last = S;
     return;
   }
-  TS.Last = Opts.UseMerge
-                ? Graph.merge({TS.Last, ChildLast}, E.Thread, Info)
-                : naiveUnary(E.Thread, {TS.Last, ChildLast}, Info);
+  Sources.assign({TS.Last, ChildLast});
+  TS.Last = outside(E.Thread, Info);
 }
 
 void Velodrome::endAnalysis() {}
@@ -478,6 +484,11 @@ void Velodrome::reportCycle(const CycleReport &Cycle, ThreadState &TS) {
     if (!V.RefutedBlocks.empty())
       V.Method = V.RefutedBlocks.front(); // outermost refuted block
   }
+  // Either way the blame lands on the transaction's outermost block: its
+  // label is the node's root, and it began at the node's first stamp, which
+  // is at or below every root stamp. addEdgeChecked relies on this.
+  assert(V.Method == Graph.rootOf(Blamed.Node) &&
+         "a cycle blames the open transaction's outermost block");
 
   // Mark the method as seen *before* applying the warning cap: once the cap
   // is hit, later cycles blaming the same method must still be recognized as

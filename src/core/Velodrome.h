@@ -118,8 +118,11 @@ private:
 
   /// Naive [INS OUTSIDE]: wrap one operation in its own unary transaction
   /// node with edges from Sources; returns the node's (only) step.
-  Step naiveUnary(Tid T, const std::vector<Step> &Sources,
-                  const EdgeInfo &Info);
+  Step naiveUnary(Tid T, const EdgeInfo &Info);
+
+  /// An operation outside any transaction whose predecessors are in
+  /// Sources: merge (Figure 4), or naiveUnary without UseMerge.
+  Step outside(Tid T, const EdgeInfo &Info);
 
   /// Add Src -> Dst, reporting a violation if it would close a cycle.
   void addEdgeChecked(Step Src, Step Dst, const EdgeInfo &Info,
@@ -146,6 +149,9 @@ private:
   std::unordered_map<VarId, std::vector<Step>> LastReads; ///< R (by tid)
   std::vector<AtomicityViolation> Violations;
   std::set<Label> ReportedMethods;
+  /// Scratch: predecessors of the current outside-transaction operation,
+  /// reused so unary operations do not allocate.
+  std::vector<Step> Sources;
 };
 
 } // namespace velo

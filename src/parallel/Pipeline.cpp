@@ -537,8 +537,11 @@ PipelineResult ParallelPipeline::run() {
   R.Stopped = Stop.load();
   R.Batches = Batches;
   R.ReaderRingHigh = Q1.highWater();
-  for (Worker &W : Workers)
-    R.WorkerRingHigh = std::max(R.WorkerRingHigh, W.Ring->highWater());
+  for (Worker &W : Workers) {
+    R.WorkerWakeups += W.Ring->wakeups();
+    R.WorkerWakeRingHigh =
+        std::max(R.WorkerWakeRingHigh, W.Ring->wakeHighWater());
+  }
   // Error precedence reconstructs what the sequential loop would have hit
   // first in stream order: a failed checkpoint write sits at a boundary
   // before any error recorded downstream of it (the participants past

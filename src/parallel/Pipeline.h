@@ -87,7 +87,11 @@ struct PipelineResult {
   bool Stopped = false;    ///< the stop probe fired (governor exhaustion)
   uint64_t Batches = 0;    ///< batches produced by the reader
   size_t ReaderRingHigh = 0; ///< peak Q1 occupancy (backpressure evidence)
-  size_t WorkerRingHigh = 0; ///< peak occupancy across worker rings
+  /// Batches that released a worker parked on its drained ring, and the
+  /// peak worker-ring occupancy at pushes made while a worker was parked
+  /// (BoundedRing::wakeups() / wakeHighWater()).
+  size_t WorkerWakeups = 0;
+  size_t WorkerWakeRingHigh = 0;
 };
 
 struct ParallelOptions {

@@ -44,6 +44,14 @@ public:
     ++Size;
     if (Size > HighWater)
       HighWater = Size;
+    if (ConsumerParked) {
+      if (Size > WakeHighWater)
+        WakeHighWater = Size;
+      if (readable()) { // this push releases the parked consumer
+        ConsumerParked = false;
+        ++Wakeups;
+      }
+    }
     NotEmpty.notify_one();
     return true;
   }
@@ -52,9 +60,14 @@ public:
   /// false when the ring is aborted, or closed and fully drained.
   bool pop(T &Out) {
     std::unique_lock<std::mutex> Lock(Mu);
-    NotEmpty.wait(Lock, [&] { return Size > 0 || Closed || Aborted; });
+    // Parked: the consumer has taken elements before and now blocks on its
+    // producer (the wait for the first element does not count).
+    ConsumerParked = Popped && !readable();
+    NotEmpty.wait(Lock, [&] { return readable(); });
+    ConsumerParked = false;
     if (Aborted || Size == 0)
       return false;
+    Popped = true;
     Out = std::move(Slots[Head]);
     Head = (Head + 1) % Cap;
     --Size;
@@ -87,13 +100,33 @@ public:
     return HighWater;
   }
 
+  /// Pushes that released a consumer parked on this ring after it had
+  /// taken elements: evidence that the consumer kept up with its producer.
+  size_t wakeups() const {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return Wakeups;
+  }
+  /// Peak occupancy after a push made while the consumer was parked. A
+  /// consumer that drains eagerly parks only on an empty ring and the first
+  /// push releases it, so this is 1 however late the OS runs the consumer;
+  /// unlike highWater(), it does not depend on the scheduler.
+  size_t wakeHighWater() const {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return WakeHighWater;
+  }
+
 private:
+  /// The consumer's wake-up condition (pop waits until it holds).
+  bool readable() const { return Size > 0 || Closed || Aborted; }
+
   mutable std::mutex Mu;
   std::condition_variable NotFull, NotEmpty;
   std::vector<T> Slots;
   size_t Cap;
   size_t Head = 0, Size = 0, HighWater = 0;
+  size_t Wakeups = 0, WakeHighWater = 0;
   bool Closed = false, Aborted = false;
+  bool Popped = false, ConsumerParked = false;
 };
 
 } // namespace velo

@@ -9,6 +9,7 @@
 
 #include "aero/AeroDrome.h"
 #include "analysis/Governor.h"
+#include "analysis/Stack.h"
 #include "core/Velodrome.h"
 #include "events/TraceGen.h"
 #include "events/TraceText.h"
@@ -208,6 +209,55 @@ TEST(GovernorTest, DeadlineBudgetIsCumulativeAcrossSnapshot) {
       << "pre-snapshot time must carry into the restored budget";
   EXPECT_NE(Gov2.breachReason().find("deadline"), std::string::npos)
       << Gov2.breachReason();
+}
+
+TEST(GovernorTest, MemoryCapCountsHighSlotAncestorWords) {
+  // Thousands of open transactions all read a variable written by the
+  // transaction in the highest-numbered slot. Each reader's ancestor set
+  // then holds one bit, but its words run up to that slot: about
+  // Readers^2/8 bytes in all, far beyond a flat per-node estimate. The
+  // stack's probe counts the graph's real bytes, so --max-memory-mb
+  // degrades to AeroDrome before the graph outgrows the cap.
+  const unsigned Readers = 3000;
+  std::string Text;
+  for (unsigned T = 1; T <= Readers; ++T)
+    Text += "T" + std::to_string(T) + " begin reader\n";
+  Text += "T0 begin writer\nT0 wr x\n"; // slot Readers: the highest
+  for (unsigned T = 1; T <= Readers; ++T)
+    Text += "T" + std::to_string(T) + " rd x\n";
+  for (unsigned T = 0; T <= Readers; ++T)
+    Text += "T" + std::to_string(T) + " end\n";
+  Trace T = parse(Text);
+
+  StackOptions Opts;
+  bool Valid = false;
+  ASSERT_TRUE(parseLimitFlag("--max-memory-mb=1", Opts.Limits, Valid));
+  ASSERT_TRUE(Valid);
+  AnalysisStack S;
+  std::string Err;
+  ASSERT_TRUE(S.build(std::vector<std::string>{"velodrome", "aero"}, Opts,
+                      Err))
+      << Err;
+  auto *Velo = S.get<Velodrome>("velodrome");
+  ASSERT_NE(Velo, nullptr);
+  S.begin(T.symbols());
+  uint64_t Ordinal = 0;
+  for (const Event &E : T)
+    S.deliver(E, ++Ordinal);
+  S.end();
+
+  GovernedAnalysis *Gov = S.governor();
+  ASSERT_NE(Gov, nullptr);
+  EXPECT_EQ(Gov->state(), GovernorState::Degraded);
+  EXPECT_NE(Gov->breachReason().find("memory"), std::string::npos)
+      << Gov->breachReason();
+  // Velodrome stopped on the event that crossed the cap: one reader's
+  // ancestor words and edge past it, never the whole quadratic graph.
+  EXPECT_GT(Velo->graph().memoryBytes(), Opts.Limits.MaxMemoryBytes);
+  EXPECT_LT(Velo->graph().memoryBytes(), Opts.Limits.MaxMemoryBytes + 4096);
+  EXPECT_LT(Velo->graph().nodesAlive() * 256, Opts.Limits.MaxMemoryBytes)
+      << "the trace must trip the cap only through ancestor words";
+  EXPECT_EQ(Gov->verdict(), GovernorVerdict::Serializable);
 }
 
 } // namespace

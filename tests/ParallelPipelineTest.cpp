@@ -258,8 +258,12 @@ TEST(ParallelPipeline, SlowReaderKeepsDownstreamDrained) {
   Opts.Stall.MicrosPerBatch = 500;
   RunResult Par = runPipeline(Text, SanitizeMode::Strict, nullptr, Opts);
   expectSame(Seq, Par, "drain");
-  // Consumers idle-wait on a slow producer: occupancy stays minimal.
-  EXPECT_LE(Par.PR.WorkerRingHigh, 2u);
+  // Consumers idle-wait on a slow producer: the workers drain their rings
+  // and park on the stalled reader, and a batch that reaches a parked
+  // worker finds nothing else queued. Occupancy is read only at those
+  // pushes, so a worker the OS is slow to wake cannot fail the check.
+  EXPECT_GT(Par.PR.WorkerWakeups, 0u);
+  EXPECT_LE(Par.PR.WorkerWakeRingHigh, 2u);
 }
 
 //===----------------------------------------------------------------------===//

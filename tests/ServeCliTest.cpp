@@ -21,8 +21,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <csignal>
@@ -53,6 +55,22 @@ std::string uniquePath(const char *Stem, const char *Ext) {
   return "/tmp/velo-servecli-" + std::to_string(::getpid()) + "-" +
          std::to_string(Counter.fetch_add(1)) + "-" + Stem + Ext;
 }
+
+/// Removes a test's directory and everything the daemon left in it (state
+/// files, the crash ledger) when the test ends, failed assertions included.
+class DirCleanup {
+public:
+  explicit DirCleanup(std::string Path) : Path(std::move(Path)) {}
+  DirCleanup(const DirCleanup &) = delete;
+  DirCleanup &operator=(const DirCleanup &) = delete;
+  ~DirCleanup() {
+    std::error_code Ignored;
+    std::filesystem::remove_all(Path, Ignored);
+  }
+
+private:
+  std::string Path;
+};
 
 Trace genTrace(uint64_t Seed, size_t Steps = 600, unsigned Threads = 4) {
   TraceGenOptions Opts;
@@ -304,6 +322,7 @@ TEST(ServeCliTest, SupervisedKillWorkerRestartsAndSessionResumes) {
   // of the crash point so the resume loop converges.
   std::string StateDir = uniquePath("state", "");
   ASSERT_EQ(::mkdir(StateDir.c_str(), 0755), 0);
+  DirCleanup RemoveStateDir{StateDir};
   Daemon D;
   D.start({"--supervise", "--state-dir=" + StateDir, "--max-crashes=10",
            "--fault-at=kill-worker:3"});
@@ -340,6 +359,7 @@ TEST(ServeCliTest, GracefulShutdownPersistsSessionsAcrossRestart) {
   // it left off, and the verdict is byte-identical to velodrome-check.
   std::string StateDir = uniquePath("gracestate", "");
   ASSERT_EQ(::mkdir(StateDir.c_str(), 0755), 0);
+  DirCleanup RemoveStateDir{StateDir};
   Trace T = genTrace(11, 600);
   std::string Path = writeTraceFile(T, "graceful");
   std::vector<Event> Events(T.begin(), T.end());

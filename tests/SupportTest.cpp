@@ -1,8 +1,8 @@
 //===- tests/SupportTest.cpp - Support library unit tests -----------------===//
 
 #include "support/DotWriter.h"
-#include "support/FlatSet.h"
 #include "support/Rng.h"
+#include "support/SlotBitset.h"
 #include "support/Stats.h"
 #include "support/StringInterner.h"
 #include "support/TablePrinter.h"
@@ -78,10 +78,10 @@ TEST(RngTest, ShuffleIsAPermutation) {
   EXPECT_EQ(A, B);
 }
 
-// --- FlatSet ---
+// --- SlotBitset ---
 
-TEST(FlatSetTest, InsertEraseContains) {
-  FlatSet<uint32_t> S;
+TEST(SlotBitsetTest, InsertEraseContains) {
+  SlotBitset S;
   EXPECT_TRUE(S.empty());
   EXPECT_TRUE(S.insert(5));
   EXPECT_TRUE(S.insert(1));
@@ -95,16 +95,16 @@ TEST(FlatSetTest, InsertEraseContains) {
   EXPECT_EQ(S.size(), 2u);
 }
 
-TEST(FlatSetTest, IterationIsSorted) {
-  FlatSet<uint32_t> S;
+TEST(SlotBitsetTest, IterationIsSorted) {
+  SlotBitset S;
   for (uint32_t V : {9u, 3u, 7u, 1u, 5u})
     S.insert(V);
   std::vector<uint32_t> Out(S.begin(), S.end());
   EXPECT_EQ(Out, (std::vector<uint32_t>{1, 3, 5, 7, 9}));
 }
 
-TEST(FlatSetTest, UnionWithReportsGrowth) {
-  FlatSet<uint32_t> A, B;
+TEST(SlotBitsetTest, UnionWithReportsGrowth) {
+  SlotBitset A, B;
   A.insert(1);
   A.insert(3);
   B.insert(3);
@@ -112,7 +112,7 @@ TEST(FlatSetTest, UnionWithReportsGrowth) {
   EXPECT_TRUE(A.unionWith(B));
   EXPECT_EQ(A.size(), 3u);
   EXPECT_FALSE(A.unionWith(B)) << "no growth the second time";
-  FlatSet<uint32_t> Empty;
+  SlotBitset Empty;
   EXPECT_FALSE(A.unionWith(Empty));
 }
 
