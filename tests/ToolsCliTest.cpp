@@ -317,6 +317,37 @@ TEST(CrashCliTest, KillResumeMatchesStraightRunOnEveryGoldenTrace) {
   }
 }
 
+/// Checkpoints written by an earlier build and committed under
+/// tests/data/checkpoints/ (set_add.trace killed after event 9 with
+/// --checkpoint-every=2: plain, under --reduce=all, and on a two-event-frame
+/// .vtrc) must keep resuming to the report of a straight run. --stats also
+/// pins the restored graph and reduction counters.
+TEST(CrashCliTest, CommittedCheckpointsResumeToTheStraightReport) {
+  struct Case {
+    const char *Snap, *Trace, *Flags;
+  };
+  for (const Case &C :
+       {Case{"checkpoints/set_add.snap", "set_add.trace", ""},
+        Case{"checkpoints/set_add_reduce.snap", "set_add.trace",
+             " --reduce=all"},
+        Case{"checkpoints/set_add_vtrc.snap", "checkpoints/set_add.vtrc",
+             ""}}) {
+    std::string T = dataFile(C.Trace);
+    std::string Straight;
+    int StraightCode = runCmdStdout(
+        std::string(VELO_CHECK_BIN) + " --stats" + C.Flags + " " + T,
+        Straight);
+    EXPECT_EQ(StraightCode, 1) << C.Snap;
+    std::string Resumed;
+    int ResumedCode =
+        runCmdStdout(std::string(VELO_CHECK_BIN) + " --stats --resume=" +
+                         dataFile(C.Snap) + " " + T,
+                     Resumed);
+    EXPECT_EQ(ResumedCode, StraightCode) << C.Snap;
+    EXPECT_EQ(Resumed, Straight) << C.Snap;
+  }
+}
+
 TEST(CrashCliTest, SupervisedRunRecoversFromRepeatedCrashes) {
   // Record a trace big enough for several checkpoint windows.
   std::string T = ::testing::TempDir() + "/velo_cli_sup.trace";
@@ -1088,6 +1119,115 @@ TEST(RunCliTest, PolicyAndCorruptionFlagsParse) {
   int Code = runCmd(std::string(VELO_RUN_BIN) +
                     " raja --disable=image.mu --seed=9 --scale=2");
   EXPECT_TRUE(Code == 0 || Code == 1);
+}
+
+//===----------------------------------------------------------------------===//
+// --witness output, pinned byte for byte in tests/data/witness/ (stdout and
+// stderr merged, the trace path normalized to TRACE). Every case runs on
+// the text trace and on its .vtrc conversion against the same fixture.
+// Regenerate after an intended change with:
+//   VELO_UPDATE_WITNESS_GOLDEN=1 ./tools_cli_test --gtest_filter='Witness*'
+//===----------------------------------------------------------------------===//
+
+/// Run `velodrome-check --witness Flags Trace`, normalize, and compare with
+/// (or, under VELO_UPDATE_WITNESS_GOLDEN and Write, rewrite) the fixture.
+/// Returns the exit code.
+int expectWitnessFixture(const std::string &Fixture, const std::string &Flags,
+                         const std::string &Trace, bool Write) {
+  std::string Out;
+  int Code = runCmdAll(std::string(VELO_CHECK_BIN) + " --witness " + Flags +
+                           Trace,
+                       Out);
+  replaceAll(Out, Trace, "TRACE");
+  std::string File = std::string(VELO_TEST_DATA_DIR) + "/witness/" + Fixture;
+  if (Write && std::getenv("VELO_UPDATE_WITNESS_GOLDEN")) {
+    std::ofstream(File, std::ios::binary) << Out;
+    return Code;
+  }
+  EXPECT_EQ(Out, readFileBytes(File)) << Fixture << " (" << Trace << ")";
+  return Code;
+}
+
+/// Fixture check on Trace and on its .vtrc conversion (three-event
+/// frames): both containers print the same bytes. Returns the exit code,
+/// which must also agree.
+int expectWitnessBothContainers(const std::string &Fixture,
+                                const std::string &Flags,
+                                const std::string &Trace) {
+  int TextCode = expectWitnessFixture(Fixture, Flags, Trace, true);
+  std::string Bin = ::testing::TempDir() + "/velo_witness_" + Fixture +
+                    ".vtrc";
+  EXPECT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " --frame-events=3 " +
+                   Trace + " " + Bin),
+            0)
+      << Fixture;
+  EXPECT_EQ(expectWitnessFixture(Fixture, Flags, Bin, false), TextCode)
+      << Fixture;
+  std::remove(Bin.c_str());
+  return TextCode;
+}
+
+TEST(WitnessCliTest, GoldenTracesMatchFixtures) {
+  for (const std::string &T : goldenTraces()) {
+    std::string Name = std::filesystem::path(T).stem().string();
+    std::string Plain;
+    int PlainCode = runCmdStdout(std::string(VELO_CHECK_BIN) + " " + T, Plain);
+    EXPECT_EQ(expectWitnessBothContainers(Name + ".out", "", T), PlainCode)
+        << Name << ": --witness keeps the verdict exit";
+  }
+}
+
+TEST(WitnessCliTest, LenientFuzzCorpusMatchesFixtures) {
+  // The witness is built from the repaired stream, so these pin the
+  // sanitizer's output as well as the repair note.
+  std::vector<std::string> Traces;
+  for (const auto &E : std::filesystem::directory_iterator(
+           std::string(VELO_TEST_DATA_DIR) + "/fuzz"))
+    Traces.push_back(E.path().string());
+  std::sort(Traces.begin(), Traces.end());
+  ASSERT_FALSE(Traces.empty());
+  for (const std::string &T : Traces)
+    expectWitnessBothContainers(
+        "lenient_" + std::filesystem::path(T).stem().string() + ".out",
+        "--lenient ", T);
+}
+
+TEST(WitnessCliTest, SalvagedContainerMatchesFixture) {
+  // Two-event frames, last 5 bytes cut: the trailer and the tail of the
+  // last frame are gone; --salvage keeps the intact frame prefix.
+  std::string Bin = ::testing::TempDir() + "/velo_witness_salvage.vtrc";
+  ASSERT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " --frame-events=2 " +
+                   dataFile("flag_handoff.trace") + " " + Bin),
+            0);
+  std::string Bytes = readFileBytes(Bin);
+  ASSERT_GT(Bytes.size(), 5u);
+  std::ofstream(Bin, std::ios::binary | std::ios::trunc)
+      .write(Bytes.data(), static_cast<std::streamsize>(Bytes.size() - 5));
+  EXPECT_EQ(expectWitnessFixture("salvage_flag_handoff.out", "--salvage ",
+                                 Bin, true),
+            0);
+  std::remove(Bin.c_str());
+}
+
+TEST(WitnessCliTest, RecordedWorkloadMatchesFixtureInBothContainers) {
+  // --exclude-known leaves multiset serializable, so the whole serial
+  // witness of a real recording is printed.
+  std::string Tmp = ::testing::TempDir();
+  std::string Text = Tmp + "/velo_witness_rec.trace";
+  std::string Bin = Tmp + "/velo_witness_rec.vtrc";
+  for (const std::string &Rec : {Text, Bin})
+    ASSERT_EQ(runCmd(std::string(VELO_RUN_BIN) +
+                     " multiset --exclude-known --record=" + Rec),
+              0)
+        << Rec;
+  EXPECT_EQ(expectWitnessFixture("multiset_exclude_known.out", "", Text,
+                                 true),
+            0);
+  EXPECT_EQ(expectWitnessFixture("multiset_exclude_known.out", "", Bin,
+                                 false),
+            0);
+  std::remove(Text.c_str());
+  std::remove(Bin.c_str());
 }
 
 } // namespace
