@@ -41,7 +41,7 @@ struct Warning {
   Label Method;         ///< Blamed atomic block / method label, or NoLabel.
   std::string Message;  ///< Human-readable description.
   std::string Dot;      ///< Optional rendered error graph (dot syntax).
-  std::string RuleId;   ///< Stable rule id ("VELO-ATOM-001"); "" = legacy.
+  std::string RuleId;   ///< Stable rule id ("VELO-ATOM-001"); "" = unregistered.
   Tid Thread = 0;       ///< Thread of the triggering event.
   uint64_t Ordinal = 0; ///< Sanitized-stream ordinal of that event (0 unknown).
   std::vector<WarningSite> Related; ///< Cycle edges / witness coordinates.

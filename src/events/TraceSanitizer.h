@@ -85,6 +85,10 @@ struct RepairCounts {
   /// "re-entrant acquires: 2; unheld releases: 1" — non-zero categories
   /// only; empty when nothing was repaired.
   std::string summary() const;
+
+  /// "lenient: repaired 3 event(s): <summary>\n", the stderr note every
+  /// tool prints after a run; empty when nothing was repaired.
+  std::string note() const;
 };
 
 /// Streaming validator/repairer. Feed events with push(), flush with

@@ -13,13 +13,6 @@ namespace velo {
 std::unique_ptr<TraceSource> openTraceSource(const std::string &Path,
                                              SymbolTable &Syms,
                                              TraceReadStatus &StatusOut,
-                                             std::string &ErrorOut) {
-  return openTraceSource(Path, Syms, StatusOut, ErrorOut, TraceOpenOptions{});
-}
-
-std::unique_ptr<TraceSource> openTraceSource(const std::string &Path,
-                                             SymbolTable &Syms,
-                                             TraceReadStatus &StatusOut,
                                              std::string &ErrorOut,
                                              const TraceOpenOptions &Opts) {
   if (detectTraceFormat(Path) == TraceFormat::Binary) {

@@ -8,9 +8,8 @@
 // the magic and returns whichever matches.
 //
 // Error contract: error() is always "line N: message", exactly like
-// TraceStream, so tools can keep rendering "<path>:N: message" by
-// skipping the first five characters. For a binary source, N is the
-// 1-based event ordinal (binary frames have no lines).
+// TraceStream; pathError renders it as "<path>:N: message". For a binary
+// source, N is the 1-based event ordinal (binary frames have no lines).
 //
 //===----------------------------------------------------------------------===//
 
@@ -118,35 +117,13 @@ public:
     return true;
   }
 
-  /// The wrapped stream (velodrome-check reads I/O state off it).
+  /// The wrapped stream (readTraceFileStatus reads I/O state off it).
   std::istream &stream() { return *In; }
 
 private:
   std::unique_ptr<std::ifstream> Owned; ///< null when borrowing
   std::istream *In;
   TraceStream TS;
-};
-
-/// What a salvage open of a VELOTRC container recovered (see
-/// BinaryTraceReader::openSalvage). Used stays false when the container
-/// was complete and no recovery was needed.
-struct SalvageSummary {
-  bool Used = false;         ///< prefix recovery actually engaged
-  uint64_t FramesKept = 0;   ///< intact events frames accepted
-  uint64_t EventsKept = 0;   ///< events in the accepted prefix
-  uint64_t BytesDropped = 0; ///< bytes discarded after the prefix
-};
-
-/// Options for openTraceSource.
-struct TraceOpenOptions {
-  /// Binary containers: accept the longest intact frame prefix of a
-  /// truncated file instead of rejecting it (velodrome-check --salvage).
-  /// Text input cannot be salvaged; callers gate the flag on the sniffed
-  /// format first.
-  bool Salvage = false;
-  /// When non-null and the source is binary, receives the recovery
-  /// outcome after a salvage open.
-  SalvageSummary *SalvageOut = nullptr;
 };
 
 /// Open Path as a trace source, sniffing the VELOTRC magic to pick the
@@ -158,14 +135,14 @@ struct TraceOpenOptions {
 std::unique_ptr<TraceSource> openTraceSource(const std::string &Path,
                                              SymbolTable &Syms,
                                              TraceReadStatus &StatusOut,
-                                             std::string &ErrorOut);
-
-/// As above, with open options (salvage mode for binary containers).
-std::unique_ptr<TraceSource> openTraceSource(const std::string &Path,
-                                             SymbolTable &Syms,
-                                             TraceReadStatus &StatusOut,
                                              std::string &ErrorOut,
-                                             const TraceOpenOptions &Opts);
+                                             const TraceOpenOptions &Opts = {});
+
+/// "<path>:N: message" from a source's "line N: message" error().
+inline std::string pathError(const std::string &Path,
+                             const std::string &LineError) {
+  return Path + ":" + LineError.substr(5);
+}
 
 } // namespace velo
 

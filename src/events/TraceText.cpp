@@ -3,9 +3,8 @@
 #include "events/TraceText.h"
 
 #include "events/BinaryFormat.h"
-#include "events/BinaryReader.h"
 #include "events/BinaryWriter.h"
-#include "events/TraceStream.h"
+#include "events/TraceSource.h"
 
 #include <cerrno>
 #include <cstring>
@@ -158,40 +157,21 @@ bool writeTraceFile(const Trace &T, const std::string &Path) {
 }
 
 TraceReadStatus readTraceFileStatus(const std::string &Path, Trace &Out,
-                                    std::string &ErrorOut) {
-  if (detectTraceFormat(Path) == TraceFormat::Binary) {
-    BinaryTraceReader R(Out.symbols());
-    TraceReadStatus St = R.open(Path, ErrorOut);
-    if (St == TraceReadStatus::NotFound || St == TraceReadStatus::IoError)
-      return St;
-    Event E;
-    while (R.next(E))
-      Out.push(E);
-    if (R.failed()) {
-      // "path:N: message" (error() is "line N: message").
-      ErrorOut = Path + ":" + R.error().substr(5);
-      return TraceReadStatus::ParseError;
-    }
-    return TraceReadStatus::Ok;
-  }
-  errno = 0;
-  std::ifstream In(Path);
-  if (!In) {
-    int Err = errno;
-    ErrorOut = "cannot open " + Path + ": " +
-               (Err != 0 ? std::strerror(Err) : "open failed");
-    return Err == ENOENT ? TraceReadStatus::NotFound : TraceReadStatus::IoError;
-  }
-  TraceStream TS(In, Out.symbols());
+                                    std::string &ErrorOut,
+                                    const TraceOpenOptions &Opts) {
+  TraceReadStatus St = TraceReadStatus::Ok;
+  auto Src = openTraceSource(Path, Out.symbols(), St, ErrorOut, Opts);
+  if (!Src)
+    return St;
   Event E;
-  while (TS.next(E))
+  while (Src->next(E))
     Out.push(E);
-  if (TS.failed()) {
-    // "path:N: message" (TS.error() is "line N: message").
-    ErrorOut = Path + ":" + TS.error().substr(5);
+  if (Src->failed()) {
+    ErrorOut = pathError(Path, Src->error());
     return TraceReadStatus::ParseError;
   }
-  if (In.bad()) {
+  auto *Text = dynamic_cast<TextTraceSource *>(Src.get());
+  if (Text && Text->stream().bad()) {
     int Err = errno;
     ErrorOut = "read error on " + Path + ": " +
                (Err != 0 ? std::strerror(Err) : "stream error");

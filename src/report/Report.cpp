@@ -31,13 +31,8 @@ const RuleInfo UnknownRule = {"VELO-UNKNOWN", "UnregisteredFinding",
                               "CWE-662", "warning"};
 
 const RuleInfo *resolveRule(const Warning &W) {
-  if (!W.RuleId.empty())
-    if (const RuleInfo *R = findRule(W.RuleId))
-      return R;
-  const char *Derived = ruleForWarning(W.Analysis, W.Category);
-  if (const RuleInfo *R = findRule(Derived))
-    return R;
-  return &UnknownRule;
+  const RuleInfo *R = findRule(W.RuleId);
+  return R ? R : &UnknownRule;
 }
 
 std::string methodName(Label L, const SymbolTable *Syms) {

@@ -2,8 +2,6 @@
 
 #include "report/Rules.h"
 
-#include <cstring>
-
 namespace velo {
 
 namespace {
@@ -69,31 +67,6 @@ int ruleIndex(const std::string &Id) {
     if (Id == Rules[I].Id)
       return static_cast<int>(I);
   return -1;
-}
-
-const char *ruleForWarning(const std::string &Analysis,
-                           const std::string &Category) {
-  if (Analysis == "velodrome" || Analysis == "basic")
-    return "VELO-ATOM-001";
-  if (Analysis == "aerodrome")
-    return "VELO-ATOM-002";
-  if (Analysis == "atomizer")
-    return "VELO-ATOM-003";
-  if (Analysis == "strict2pl")
-    return "VELO-ATOM-004";
-  if (Analysis == "hb")
-    return "VELO-RACE-001";
-  if (Analysis == "eraser")
-    return "VELO-RACE-002";
-  if (Analysis == "deadlock")
-    return "VELO-DLK-001";
-  if (Category == "race")
-    return "VELO-RACE-001";
-  if (Category == "atomicity")
-    return "VELO-ATOM-001";
-  if (Category == "deadlock")
-    return "VELO-DLK-001";
-  return "";
 }
 
 } // namespace velo

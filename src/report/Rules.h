@@ -35,11 +35,6 @@ const RuleInfo *findRule(const std::string &Id);
 /// Index of Id in the registry (SARIF ruleIndex), or -1 when unknown.
 int ruleIndex(const std::string &Id);
 
-/// Rule id for a warning that predates structured reporting, derived from
-/// its (Analysis, Category) pair. Returns "" when no rule matches.
-const char *ruleForWarning(const std::string &Analysis,
-                           const std::string &Category);
-
 } // namespace velo
 
 #endif // VELO_REPORT_RULES_H

@@ -82,9 +82,7 @@ bool Session::finish(std::string &Err) {
     if (!P.Stopped)
       P.Stack.deliver(Out, P.Stack.eventsSeen() + 1);
   P.Stack.end();
-  if (P.San.repairs().total() != 0)
-    Notes += "lenient: repaired " + std::to_string(P.San.repairs().total()) +
-             " event(s): " + P.San.repairs().summary() + "\n";
+  Notes += P.San.repairs().note();
   Notes += P.Stack.governorNote();
   Finished = true;
 

@@ -556,6 +556,17 @@ TEST(BinaryFormat, SalvageOptionPlumbedThroughFactory) {
     StrictOk = !StrictSrc->failed();
   }
   EXPECT_FALSE(StrictOk);
+
+  // readTraceFileStatus drains the same factory: with the option it keeps
+  // the prefix, without it the parse error carries the file's path.
+  Trace Salvaged, Strict;
+  ASSERT_EQ(readTraceFileStatus(Path, Salvaged, Err, Opts),
+            TraceReadStatus::Ok)
+      << Err;
+  EXPECT_EQ(Salvaged.size(), 8u);
+  EXPECT_EQ(readTraceFileStatus(Path, Strict, Err),
+            TraceReadStatus::ParseError);
+  EXPECT_EQ(Err.rfind(Path + ":", 0), 0u) << Err;
   std::remove(Path.c_str());
 }
 
@@ -587,7 +598,7 @@ TEST(BinaryFormat, FactoryDetectsBothFormats) {
       EXPECT_EQ(Events[I], T[I]);
   }
 
-  // readTraceFileStatus auto-detects too (the --witness path).
+  // readTraceFileStatus auto-detects too.
   Trace FromBin;
   std::string Err;
   ASSERT_EQ(readTraceFileStatus(BinPath, FromBin, Err), TraceReadStatus::Ok)

@@ -248,6 +248,59 @@ TEST(ReportCliTest, ConvertEmitsFindingsFreeDocument) {
   std::remove(Vtrc.c_str());
 }
 
+/// Every emitter registers its rule id, so no finding on any golden trace,
+/// from any back-end or the analyzer's lints, falls back to the
+/// VELO-UNKNOWN placeholder.
+TEST(ReportCliTest, NoGoldenFindingRendersUnknownRule) {
+  std::vector<std::string> Runs;
+  for (const char *F :
+       {"deadlock_ab.trace", "deadlock_gate.trace", "flag_handoff.trace",
+        "forkjoin_clean.trace", "intro_cycle.trace", "lock_cycle.trace",
+        "rmw_violation.trace", "set_add.trace"}) {
+    const std::string T = dataFile(F);
+    for (const std::string &Cmd :
+         {std::string(VELO_CHECK_BIN) + " --format=json " + T,
+          std::string(VELO_CHECK_BIN) + " --backend=deadlock --format=json " +
+              T,
+          std::string(VELO_ANALYZE_BIN) + " --format=json " + T}) {
+      std::string Out;
+      int Code = runCmdStdout(Cmd, Out);
+      EXPECT_TRUE(Code == 0 || Code == 1) << Cmd;
+      EXPECT_EQ(Out.find("VELO-UNKNOWN"), std::string::npos) << Cmd;
+      Runs.push_back(Out);
+    }
+  }
+  size_t Findings = 0;
+  for (const std::string &Out : Runs)
+    for (size_t At = 0; (At = Out.find("\"ruleId\"", At)) != std::string::npos;
+         ++At)
+      ++Findings;
+  EXPECT_GT(Findings, 0u) << "the goldens must produce findings to check";
+}
+
+/// After a governor stop the JSON "events" count (sanitized-stream
+/// ordinals) covers only delivered events, like the text header: the
+/// sanitizer's finish() tail after the stop is never delivered. Two
+/// transactions that never end leave a two-event tail in lenient mode.
+TEST(ReportCliTest, EventsCountSkipsUndeliveredTailAfterGovernorStop) {
+  const std::string T = ::testing::TempDir() + "/velo_report_unclosed.trace";
+  {
+    std::ofstream Out(T);
+    Out << "T0 fork T1\nT0 begin a\nT1 begin b\nT0 wr x\n"
+           "T1 wr y\nT0 rd y\nT1 rd x\nT0 wr z\n";
+  }
+  const std::string Base = std::string(VELO_CHECK_BIN) +
+                           " --lenient --backend=velodrome --max-events=3 ";
+  std::string Text, Json, Witness;
+  EXPECT_EQ(runCmdStdout(Base + T, Text), 3);
+  EXPECT_EQ(runCmdStdout(Base + "--format=json " + T, Json), 3);
+  EXPECT_EQ(runCmdStdout(Base + "--witness --format=json " + T, Witness), 3);
+  EXPECT_EQ(Text.rfind(T + ": 4 events, 2 threads\n", 0), 0u) << Text;
+  EXPECT_NE(Json.find("\"events\": 4,"), std::string::npos) << Json;
+  EXPECT_EQ(Witness, Json);
+  std::remove(T.c_str());
+}
+
 /// --format rejects unknown values with a usage error on every tool.
 TEST(ReportCliTest, UnknownFormatIsAUsageError) {
   const std::string T = dataFile("rmw_violation.trace");

@@ -57,21 +57,6 @@ TEST(ReportTest, RuleRegistryIsCompleteAndStable) {
   EXPECT_STREQ(findRule("VELO-RACE-001")->Cwe, "CWE-362");
 }
 
-TEST(ReportTest, RuleForLegacyWarning) {
-  EXPECT_STREQ(ruleForWarning("velodrome", "atomicity"), "VELO-ATOM-001");
-  EXPECT_STREQ(ruleForWarning("basic", "atomicity"), "VELO-ATOM-001");
-  EXPECT_STREQ(ruleForWarning("aerodrome", "atomicity"), "VELO-ATOM-002");
-  EXPECT_STREQ(ruleForWarning("atomizer", "atomicity"), "VELO-ATOM-003");
-  EXPECT_STREQ(ruleForWarning("strict2pl", "atomicity"), "VELO-ATOM-004");
-  EXPECT_STREQ(ruleForWarning("hb", "race"), "VELO-RACE-001");
-  EXPECT_STREQ(ruleForWarning("eraser", "race"), "VELO-RACE-002");
-  EXPECT_STREQ(ruleForWarning("deadlock", "deadlock"), "VELO-DLK-001");
-  // Unknown analysis falls back to the category.
-  EXPECT_STREQ(ruleForWarning("mystery", "race"), "VELO-RACE-001");
-  EXPECT_STREQ(ruleForWarning("mystery", "deadlock"), "VELO-DLK-001");
-  EXPECT_STREQ(ruleForWarning("mystery", "mystery"), "");
-}
-
 TEST(ReportTest, CapReachedZeroMeansUnlimited) {
   EXPECT_FALSE(ReportManager::capReached(0, 0));
   EXPECT_FALSE(ReportManager::capReached(1000000, 0));

@@ -149,15 +149,23 @@ TEST(CheckCliTest, StrictModeRejectsIllFormedTraces) {
   for (const char *F :
        {"fuzz/end_without_begin.trace", "fuzz/unheld_release.trace",
         "fuzz/reentrant_acquire.trace", "fuzz/orphan_fork.trace"}) {
-    EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --quiet " +
-                     dataFile(F)),
+    std::string Plain, Witness;
+    EXPECT_EQ(runCmdAll(std::string(VELO_CHECK_BIN) + " --quiet " +
+                            dataFile(F),
+                        Plain),
               2)
         << F;
-    // The buffered --witness path routes through the same sanitizer.
-    EXPECT_EQ(runCmd(std::string(VELO_CHECK_BIN) + " --quiet --witness " +
-                     dataFile(F)),
+    EXPECT_NE(Plain.find("trace is not well formed: line "),
+              std::string::npos)
+        << Plain;
+    // --witness reads through the same loop and sanitizer, so it rejects
+    // with the same "line N:" diagnostic.
+    EXPECT_EQ(runCmdAll(std::string(VELO_CHECK_BIN) + " --quiet --witness " +
+                            dataFile(F),
+                        Witness),
               2)
         << F;
+    EXPECT_EQ(Witness, Plain) << F;
   }
 }
 

@@ -154,10 +154,7 @@ int main(int argc, char **argv) {
                  TraceFile.c_str(), Error.c_str());
     return 2;
   }
-  if (Repairs.total() != 0)
-    std::fprintf(stderr, "lenient: repaired %llu event(s): %s\n",
-                 static_cast<unsigned long long>(Repairs.total()),
-                 Repairs.summary().c_str());
+  std::fputs(Repairs.note().c_str(), stderr);
 
   AnalysisFacts Facts = classifyTrace(T);
   PassManager PM(Mask);

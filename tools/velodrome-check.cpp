@@ -54,8 +54,9 @@
 //     --crash-signal=S       test hook: signal to die with (default KILL)
 //
 // The trace is streamed: events reach the back-ends as they are parsed, so
-// memory stays constant in the trace length (the file is buffered only for
-// --witness, whose serializability oracle needs random access).
+// memory stays constant in the trace length. --witness rides the same
+// stream and keeps the sanitized events, since its serializability oracle
+// needs random access.
 //
 // Exit status: 0 serializable, 1 atomicity violation, 2 usage/input error,
 // 3 resource-limited (budget exhausted before a verdict was reached),
@@ -376,11 +377,15 @@ bool loadHeader(const std::string &Path, Options &O, ResumeState &RS,
   return true;
 }
 
-/// The 14 header fields every checkpoint starts with: the configuration,
-/// then the stream position. loadHeader is their one reader.
-SnapshotWriter checkpointHeader(const Options &O, uint64_t ByteOffset,
-                                uint64_t LineNo, uint64_t EventsSeen,
-                                uint32_t ThreadsSeen) {
+/// The one checkpoint writer: the 14 header fields loadHeader reads (the
+/// configuration, then the stream position), then the state blobs of a
+/// cut. The sequential loop builds its cut at a record boundary and the
+/// pipeline deposits one at a batch boundary, so each mode resumes the
+/// other's snapshots. A back-end entry with an empty blob was dropped from
+/// delivery before the boundary (the governor's post-breach drop) and is
+/// omitted.
+bool writeCheckpoint(const Options &O, const CheckpointCut &Cut,
+                     std::string &ErrorOut) {
   SnapshotWriter W;
   W.str(O.TraceFile);
   W.str(O.BackendSel);
@@ -393,45 +398,10 @@ SnapshotWriter checkpointHeader(const Options &O, uint64_t ByteOffset,
   W.u64(L.MaxMemoryBytes);
   W.u64(L.DeadlineMillis);
   W.u32(L.CheckIntervalEvents);
-  W.u64(ByteOffset);
-  W.u64(LineNo);
-  W.u64(EventsSeen);
-  W.u32(ThreadsSeen);
-  return W;
-}
-
-bool writeCheckpoint(const Options &O, uint64_t ByteOffset, uint64_t LineNo,
-                     const AnalysisStack &Stack, const SymbolTable &Syms,
-                     const TraceSanitizer &San, const ReductionFilter *Filter,
-                     std::string &ErrorOut) {
-  SnapshotWriter W = checkpointHeader(O, ByteOffset, LineNo,
-                                      Stack.eventsSeen(), Stack.threadsSeen());
-  SnapshotWriter SymsBlob;
-  serializeSymbols(SymsBlob, Syms);
-  W.blob(SymsBlob);
-  SnapshotWriter SanBlob;
-  San.serialize(SanBlob);
-  W.blob(SanBlob);
-  SnapshotWriter FilterBlob;
-  if (Filter)
-    Filter->serialize(FilterBlob);
-  W.blob(FilterBlob);
-  Stack.saveDelivery(W);
-  return W.writeFile(O.CheckpointFile, ErrorOut);
-}
-
-/// Parallel-path twin of writeCheckpoint: assembles the snapshot from the
-/// state blobs deposited into a pipeline checkpoint cut. str(blob) and
-/// blob(writer) share one encoding, so the two writers produce
-/// byte-compatible snapshots — sequential and parallel runs can resume
-/// each other's checkpoints. A back-end entry with an empty blob was
-/// dropped from delivery before the boundary (the governor's post-breach
-/// drop) and is omitted, exactly as writeCheckpoint omits it from the
-/// stack's delivery set.
-bool writeCheckpointCut(const Options &O, const CheckpointCut &Cut,
-                        std::string &ErrorOut) {
-  SnapshotWriter W = checkpointHeader(O, Cut.ByteOffset, Cut.LineNo,
-                                      Cut.EventsSeen, Cut.ThreadsSeen);
+  W.u64(Cut.ByteOffset);
+  W.u64(Cut.LineNo);
+  W.u64(Cut.EventsSeen);
+  W.u32(Cut.ThreadsSeen);
   W.str(Cut.SymsBlob);
   W.str(Cut.SanBlob);
   W.str(Cut.FilterBlob);
@@ -447,6 +417,13 @@ bool writeCheckpointCut(const Options &O, const CheckpointCut &Cut,
     W.str(Entry.second);
   }
   return W.writeFile(O.CheckpointFile, ErrorOut);
+}
+
+/// The serialized state of one component, as a cut's blob.
+template <typename T> std::string stateBlob(const T &Component) {
+  SnapshotWriter W;
+  Component.serialize(W);
+  return W.payload();
 }
 
 //===----------------------------------------------------------------------===//
@@ -495,41 +472,77 @@ void printSalvageNote(const SalvageSummary &S) {
                static_cast<unsigned long long>(S.BytesDropped));
 }
 
-/// Buffered read for the --witness path under --salvage: stream the
-/// recovered prefix into a Trace. Err comes back already path-prefixed.
-bool readTraceSalvaged(const std::string &Path, Trace &Out,
-                       SalvageSummary &Salv, std::string &Err) {
+/// Open the trace (with --salvage when given); on failure report the open
+/// error and return null.
+std::unique_ptr<TraceSource> openSource(const Options &O, SymbolTable &Syms,
+                                        SalvageSummary *Salv) {
   TraceReadStatus St = TraceReadStatus::Ok;
-  std::string OpenErr;
+  std::string Error;
   TraceOpenOptions Opts;
-  Opts.Salvage = true;
-  Opts.SalvageOut = &Salv;
-  auto Src = openTraceSource(Path, Out.symbols(), St, OpenErr, Opts);
-  if (!Src) {
-    Err = OpenErr;
-    return false;
-  }
+  Opts.Salvage = O.Salvage;
+  Opts.SalvageOut = Salv;
+  auto Src = openTraceSource(O.TraceFile, Syms, St, Error, Opts);
+  if (!Src)
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return Src;
+}
+
+/// AtRecordEnd's answer for "stop reading, then finish the run" (a
+/// governor stop).
+constexpr int StopReading = -1;
+
+/// The one read-and-sanitize loop; the --reduce classifier pass and the
+/// checked stream both run it. Every record of Src goes through San, each
+/// event San forwards reaches OnEvent(E, Line), and the finish() tail
+/// follows with line 0. AtRecordEnd() runs after each record and returns 0
+/// to read on, StopReading, or an exit code to end the run with. Parse and
+/// sanitize errors are reported here and return 2. The callbacks are
+/// template parameters, so the per-event path makes no indirect call.
+template <typename EventFn, typename RecordFn>
+int readSanitized(const std::string &Path, TraceSource &Src,
+                  TraceSanitizer &San, EventFn &&OnEvent,
+                  RecordFn &&AtRecordEnd) {
+  std::vector<Event> Scratch;
   Event E;
-  while (Src->next(E))
-    Out.push(E);
-  if (Src->failed()) {
-    Err = Path + ":" + (Src->error().c_str() + 5);
-    return false;
+  while (Src.next(E)) {
+    Scratch.clear();
+    if (!San.push(E, Scratch, Src.lineNo())) {
+      std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
+                   Path.c_str(), San.error().c_str());
+      return 2;
+    }
+    for (const Event &Out : Scratch)
+      OnEvent(Out, Src.lineNo());
+    int Rc = AtRecordEnd();
+    if (Rc == StopReading)
+      break;
+    if (Rc != 0)
+      return Rc;
   }
-  return true;
+  if (Src.failed()) {
+    std::fprintf(stderr, "error: %s\n", pathError(Path, Src.error()).c_str());
+    return 2;
+  }
+  Scratch.clear();
+  San.finish(Scratch);
+  for (const Event &Out : Scratch)
+    OnEvent(Out, 0);
+  return 0;
 }
 
 int runAnalysis(Options O) {
+  auto ResumeFailed = [&O](const std::string &Why) {
+    std::fprintf(stderr, "error: cannot resume from %s: %s\n",
+                 O.ResumeFile.c_str(), Why.c_str());
+    return 2;
+  };
   ResumeState RS;
   bool Resuming = !O.ResumeFile.empty();
   if (Resuming) {
     std::string Error;
     // The presentation flags (--quiet, --stats, --dot) stay as given.
-    if (!loadHeader(O.ResumeFile, O, RS, Error)) {
-      std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                   O.ResumeFile.c_str(), Error.c_str());
-      return 2;
-    }
+    if (!loadHeader(O.ResumeFile, O, RS, Error))
+      return ResumeFailed(Error);
     const GovernorLimits &L = O.Analysis.Limits;
     // The caps travel with the snapshot, so a sequential run's explicit
     // caps would silently reappear under --parallel here; refuse just as
@@ -577,14 +590,9 @@ int runAnalysis(Options O) {
   // to a checkpoint boundary; elsewhere the default disposition (die, let
   // the rename-atomic checkpoint and the supervisor handle it) is the
   // honest behavior.
-  if (!O.CheckpointFile.empty() && !O.Parallel && !O.Witness)
+  if (!O.CheckpointFile.empty() && !O.Parallel)
     installStopHandlers();
 
-  // Pass A of the static pipeline: stream the (sanitized) trace once with
-  // no back-ends attached and classify every variable; pass B below then
-  // filters on replay. Both passes parse the same bytes with fresh symbol
-  // tables, so variable ids line up. A resumed run restores the filter
-  // from the snapshot instead and skips this sweep.
   // --salvage only makes sense for a VELOTRC container; a text trace (or a
   // prefix too short to even keep its 8-byte magic) has nothing frame-
   // structured to salvage.
@@ -601,330 +609,248 @@ int runAnalysis(Options O) {
     return 2;
   }
 
+  // Pass A of the static pipeline: stream the (sanitized) trace once with
+  // no back-ends attached and classify every variable; pass B below then
+  // filters on replay. Both passes parse the same bytes with fresh symbol
+  // tables, so variable ids line up. A resumed run restores the filter
+  // from the snapshot instead and skips this sweep.
   ReductionFilter Filter;
   if (Reducing && !Resuming) {
     SymbolTable ClsSyms;
-    TraceReadStatus ClsSt = TraceReadStatus::Ok;
-    std::string ClsErr;
-    TraceOpenOptions ClsOpts;
-    ClsOpts.Salvage = O.Salvage;
-    auto ClsSrc =
-        openTraceSource(O.TraceFile, ClsSyms, ClsSt, ClsErr, ClsOpts);
-    if (!ClsSrc) {
-      std::fprintf(stderr, "error: %s\n", ClsErr.c_str());
+    auto ClsSrc = openSource(O, ClsSyms, nullptr);
+    if (!ClsSrc)
       return 2;
-    }
     TraceSanitizer ClsSan(O.Mode);
     TraceClassifier Classifier;
-    std::vector<Event> ClsScratch;
-    Event ClsE;
-    while (ClsSrc->next(ClsE)) {
-      ClsScratch.clear();
-      if (!ClsSan.push(ClsE, ClsScratch, ClsSrc->lineNo())) {
-        std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
-                     O.TraceFile.c_str(), ClsSan.error().c_str());
-        return 2;
-      }
-      for (const Event &Out : ClsScratch)
-        Classifier.onEvent(Out);
-    }
-    if (ClsSrc->failed()) {
-      std::fprintf(stderr, "error: %s:%s\n", O.TraceFile.c_str(),
-                   ClsSrc->error().c_str() + 5);
-      return 2;
-    }
-    ClsScratch.clear();
-    ClsSan.finish(ClsScratch);
-    for (const Event &Out : ClsScratch)
-      Classifier.onEvent(Out);
+    if (int Rc = readSanitized(
+            O.TraceFile, *ClsSrc, ClsSan,
+            [&](const Event &E, uint64_t) { Classifier.onEvent(E); },
+            [] { return 0; }))
+      return Rc;
     Filter =
         ReductionFilter(PassManager(ReduceMask).plan(Classifier.facts()));
   }
 
-  SymbolTable StreamSyms;
-  Trace Buffered; // only filled on the --witness path
+  // The checked stream: the file flows through sanitizer and back-ends in
+  // constant memory, snapshotting at resume boundaries when asked to.
+  // openTraceSource sniffs the VELOTRC magic, so text and binary traces
+  // flow through the same loop. Sanitized owns the stream's symbols; its
+  // events are kept only for --witness, whose serializability oracle needs
+  // random access.
+  Trace Sanitized;
+  SymbolTable &Syms = Sanitized.symbols();
+  SalvageSummary Salv;
+  auto Src = openSource(O, Syms, &Salv);
+  if (!Src)
+    return 2;
+  printSalvageNote(Salv);
   TraceSanitizer San(O.Mode);
   uint64_t EventsAtStart = 0; // resumed offset, for the --crash-at hook
   // 1-based ordinal of the current event in the sanitized (pre-reduction)
   // stream: the coordinate warnings report into (docs/REPORTING.md).
   uint64_t SanOrdinal = 0;
-  std::vector<Event> Scratch;
 
-  auto Deliver = [&](const Event &E, uint64_t Line) {
-    crashdump::noteEvent(E, Stack.eventsSeen() + 1, Line);
-    Stack.deliver(E, SanOrdinal);
-    if (O.CrashAt != 0 && Stack.eventsSeen() - EventsAtStart >= O.CrashAt) {
-      // Test hook: simulate an analysis crash at a deterministic point.
-      std::fflush(nullptr);
-      ::raise(static_cast<int>(O.CrashSignal));
-    }
-  };
-
-  if (O.Witness) {
-    // The serializability oracle needs random access: buffer, sanitize,
-    // then replay the repaired trace.
-    Trace Raw;
-    std::string Error;
-    if (O.Salvage) {
-      SalvageSummary Salv;
-      if (!readTraceSalvaged(O.TraceFile, Raw, Salv, Error)) {
-        std::fprintf(stderr, "error: %s\n", Error.c_str());
-        return 2;
-      }
-      printSalvageNote(Salv);
-    } else {
-      TraceReadStatus St = readTraceFileStatus(O.TraceFile, Raw, Error);
-      if (St != TraceReadStatus::Ok) {
-        std::fprintf(stderr, "error: %s\n", Error.c_str());
-        return 2;
-      }
-    }
-    RepairCounts Repairs;
-    if (!sanitizeTrace(Raw, O.Mode, Buffered, &Repairs, Error)) {
-      std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
-                   O.TraceFile.c_str(), Error.c_str());
-      return 2;
-    }
-    if (Repairs.total() != 0)
-      std::fprintf(stderr, "lenient: repaired %llu event(s): %s\n",
-                   static_cast<unsigned long long>(Repairs.total()),
-                   Repairs.summary().c_str());
-    Stack.begin(Buffered.symbols());
-    for (const Event &E : Buffered) {
-      ++SanOrdinal;
-      Deliver(E, 0);
-      if (Stack.exhausted())
-        break;
-    }
-    Stack.end();
-  } else {
-    // Default path: stream the file through sanitizer and back-ends in
-    // constant memory, snapshotting at resume boundaries when asked to.
-    // openTraceSource sniffs the VELOTRC magic, so text and binary traces
-    // flow through the same loop.
-    TraceReadStatus SrcSt = TraceReadStatus::Ok;
-    std::string SrcErr;
-    TraceOpenOptions SrcOpts;
-    SrcOpts.Salvage = O.Salvage;
-    SalvageSummary Salv;
-    SrcOpts.SalvageOut = &Salv;
-    auto Src = openTraceSource(O.TraceFile, StreamSyms, SrcSt, SrcErr, SrcOpts);
-    if (!Src) {
-      std::fprintf(stderr, "error: %s\n", SrcErr.c_str());
-      return 2;
-    }
-    printSalvageNote(Salv);
-
-    if (Resuming) {
-      // Restore order matters: symbols first (backends keep a reference to
-      // the table from beginAnalysis), then backend state, then the stream
-      // position.
-      SnapshotReader SymsBlob = RS.R.blob();
-      if (!deserializeSymbols(SymsBlob, StreamSyms)) {
-        std::fprintf(stderr, "error: cannot resume from %s: corrupt symbol "
-                             "table\n",
-                     O.ResumeFile.c_str());
-        return 2;
-      }
-    }
-    Stack.begin(StreamSyms);
-    if (Resuming) {
-      SnapshotReader SanBlob = RS.R.blob();
-      if (!San.deserialize(SanBlob)) {
-        std::fprintf(stderr,
-                     "error: cannot resume from %s: sanitizer state does "
-                     "not match this configuration\n",
-                     O.ResumeFile.c_str());
-        return 2;
-      }
-      SnapshotReader FilterBlob = RS.R.blob();
-      if (Reducing && !Filter.deserialize(FilterBlob)) {
-        std::fprintf(stderr,
-                     "error: cannot resume from %s: reduction filter state "
-                     "cannot be restored\n",
-                     O.ResumeFile.c_str());
-        return 2;
-      }
-      std::string BadName;
-      if (!Stack.restoreDelivery(RS.R, BadName)) {
-        std::fprintf(stderr,
-                     "error: cannot resume from %s: backend '%s' state "
-                     "cannot be restored\n",
-                     O.ResumeFile.c_str(), BadName.c_str());
-        return 2;
-      }
-      if (RS.R.failed()) {
-        std::fprintf(stderr, "error: cannot resume from %s: truncated "
-                             "snapshot\n",
-                     O.ResumeFile.c_str());
-        return 2;
-      }
-      Stack.setProgress(RS.EventsSeen, RS.ThreadsSeen);
-      EventsAtStart = RS.EventsSeen;
-      // The sanitized-stream position needs no extra checkpoint field:
-      // under --reduce the restored filter counted every sanitized event
-      // it was offered; otherwise every sanitized event was delivered.
-      SanOrdinal = Reducing ? Filter.stats().Input : RS.EventsSeen;
-      std::string SeekErr;
-      if (!Src->seekTo(RS.ByteOffset, RS.LineNo, RS.EventsSeen, SeekErr)) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     O.ResumeFile.c_str(), SeekErr.c_str());
-        return 2;
-      }
-    }
-
-    if (O.Parallel) {
-      // Multi-threaded pipeline (docs/PARALLEL.md): same components, same
-      // event sequence per back-end, so the report below is byte-identical
-      // to the sequential branch.
-      ParallelOptions POpts;
-      POpts.Workers = static_cast<unsigned>(O.ParallelWorkers);
-      POpts.BatchEvents = O.BatchEvents;
-      POpts.NoteCrashEvents = true;
-      POpts.CrashAt = O.CrashAt;
-      POpts.CrashSignal = static_cast<int>(O.CrashSignal);
-      if (Resuming) {
-        POpts.StartLine = RS.LineNo;
-        POpts.StartEvents = RS.EventsSeen;
-        POpts.StartThreads = RS.ThreadsSeen;
-        POpts.StartOrdinal = SanOrdinal;
-      }
-      if (!O.CheckpointFile.empty()) {
-        POpts.CheckpointEvery = O.CheckpointEvery;
-        POpts.CheckpointSink = [&O](const CheckpointCut &Cut,
-                                    std::string &Error) {
-          return writeCheckpointCut(O, Cut, Error);
-        };
-      }
-      if (GovernedAnalysis *Gov = Stack.governor()) {
-        // The probe runs on the governor's worker; exhaustion stops the
-        // reader at the next batch boundary.
-        POpts.StopProbe = [&Stack] { return Stack.exhausted(); };
-        POpts.StopOwner = Gov;
-        if (Backend *Ref = Stack.reference()) {
-          // Pin the reference checker beside the governor so its
-          // post-breach drop lands on the exact event the sequential
-          // loop drops it at.
-          POpts.Colocate.push_back({Gov, Ref});
-          POpts.KeepDelivering = [&Stack](Backend *B) {
-            return Stack.keepDelivering(B);
-          };
-        }
-      }
-      if (const char *Spec = std::getenv("VELO_PIPELINE_STALL"))
-        if (!parsePipelineStall(Spec, POpts.Stall))
-          std::fprintf(stderr,
-                       "warning: ignoring malformed VELO_PIPELINE_STALL "
-                       "'%s'\n",
-                       Spec);
-      ParallelPipeline Pipe(*Src, StreamSyms, San,
-                            Reducing ? &Filter : nullptr, Stack.delivery(),
-                            std::move(POpts));
-      PipelineResult PR = Pipe.run();
-      switch (PR.Err) {
-      case PipelineError::Parse:
-        // PR.Detail is "line N: message"; render as "<path>:N: message".
-        std::fprintf(stderr, "error: %s:%s\n", O.TraceFile.c_str(),
-                     PR.Detail.c_str() + 5);
-        return 2;
-      case PipelineError::Sanitize:
-        std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
-                     O.TraceFile.c_str(), PR.Detail.c_str());
-        return 2;
-      case PipelineError::Checkpoint:
-        std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
-                     O.CheckpointFile.c_str(), PR.Detail.c_str());
-        return 2;
-      case PipelineError::None:
-        break;
-      }
-      Stack.setProgress(PR.EventsSeen, PR.ThreadsSeen);
-      SanOrdinal = PR.SanitizedEvents;
-    } else {
-    uint64_t NextCkpt = Stack.eventsSeen() + O.CheckpointEvery;
-    Event E;
-    bool Stopped = false;
-    while (!Stopped && Src->next(E)) {
-      Scratch.clear();
-      if (!San.push(E, Scratch, Src->lineNo())) {
-        std::fprintf(stderr,
-                     "error: %s: trace is not well formed: %s\n",
-                     O.TraceFile.c_str(), San.error().c_str());
-        return 2;
-      }
-      for (const Event &Out : Scratch) {
-        ++SanOrdinal;
-        if (Reducing && !Filter.keep(Out))
-          continue;
-        Deliver(Out, Src->lineNo());
-        if (Stack.exhausted()) {
-          Stopped = true;
-          break;
-        }
-      }
-      if (!O.CheckpointFile.empty() && !Stopped &&
-          Stack.eventsSeen() >= NextCkpt) {
-        // The record just processed is fully delivered, so the source
-        // position is a clean resume boundary when tell() succeeds. Text:
-        // tellg() only fails at EOF on a file without a trailing newline
-        // (the run is about to finish anyway). Binary: tell() fails
-        // mid-frame, deferring the snapshot to the frame's end — so the
-        // cadence reset stays inside the success branch.
-        uint64_t Off = 0;
-        if (Src->tell(Off)) {
-          std::string Error;
-          if (!writeCheckpoint(O, Off, Src->lineNo(), Stack, StreamSyms, San,
-                               Reducing ? &Filter : nullptr, Error)) {
-            std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
-                         O.CheckpointFile.c_str(), Error.c_str());
-            return 2;
-          }
-          NextCkpt = Stack.eventsSeen() + O.CheckpointEvery;
-        }
-      }
-      if (StopSignal != 0 && !Stopped) {
-        // Graceful drain: the record just processed is fully delivered, so
-        // this is a clean resume boundary; persist it and exit 128+signal.
-        int Sig = static_cast<int>(StopSignal);
-        uint64_t Off = 0;
-        if (!O.CheckpointFile.empty() && Src->tell(Off)) {
-          std::string Error;
-          if (!writeCheckpoint(O, Off, Src->lineNo(), Stack, StreamSyms, San,
-                               Reducing ? &Filter : nullptr, Error))
-            std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
-                         O.CheckpointFile.c_str(), Error.c_str());
-        }
-        std::fprintf(stderr,
-                     "shutdown: stopped by signal %d after %llu events; "
-                     "checkpoint %s is resumable\n",
-                     Sig,
-                     static_cast<unsigned long long>(Stack.eventsSeen()),
-                     O.CheckpointFile.c_str());
-        std::fflush(nullptr);
-        return 128 + Sig;
-      }
-    }
-    if (Src->failed()) {
-      // error() is "line N: message"; render as "<path>:N: message".
-      std::fprintf(stderr, "error: %s:%s\n", O.TraceFile.c_str(),
-                   Src->error().c_str() + 5);
-      return 2;
-    }
-    Scratch.clear();
-    San.finish(Scratch);
-    for (const Event &Out : Scratch) {
-      ++SanOrdinal;
-      if (!Stopped && (!Reducing || Filter.keep(Out)))
-        Deliver(Out, 0);
-    }
-    Stack.end();
-    } // sequential loop
-    if (San.repairs().total() != 0)
-      std::fprintf(stderr, "lenient: repaired %llu event(s): %s\n",
-                   static_cast<unsigned long long>(San.repairs().total()),
-                   San.repairs().summary().c_str());
+  if (Resuming) {
+    // Restore order matters: symbols first (backends keep a reference to
+    // the table from beginAnalysis), then backend state, then the stream
+    // position.
+    SnapshotReader SymsBlob = RS.R.blob();
+    if (!deserializeSymbols(SymsBlob, Syms))
+      return ResumeFailed("corrupt symbol table");
+  }
+  Stack.begin(Syms);
+  if (Resuming) {
+    SnapshotReader SanBlob = RS.R.blob();
+    if (!San.deserialize(SanBlob))
+      return ResumeFailed(
+          "sanitizer state does not match this configuration");
+    SnapshotReader FilterBlob = RS.R.blob();
+    if (Reducing && !Filter.deserialize(FilterBlob))
+      return ResumeFailed("reduction filter state cannot be restored");
+    std::string BadName;
+    if (!Stack.restoreDelivery(RS.R, BadName))
+      return ResumeFailed("backend '" + BadName +
+                          "' state cannot be restored");
+    if (RS.R.failed())
+      return ResumeFailed("truncated snapshot");
+    Stack.setProgress(RS.EventsSeen, RS.ThreadsSeen);
+    EventsAtStart = RS.EventsSeen;
+    // The sanitized-stream position needs no extra checkpoint field:
+    // under --reduce the restored filter counted every sanitized event
+    // it was offered; otherwise every sanitized event was delivered.
+    SanOrdinal = Reducing ? Filter.stats().Input : RS.EventsSeen;
+    std::string SeekErr;
+    if (!Src->seekTo(RS.ByteOffset, RS.LineNo, RS.EventsSeen, SeekErr))
+      return ResumeFailed(SeekErr);
   }
 
+  // --witness once sanitized the whole trace before delivering, so its
+  // repair note comes before the reference checker's drop note; hold the
+  // drop note back to keep that order.
+  std::string HeldNotes;
+  if (O.Witness)
+    Stack.setNoteSink([&](const std::string &Note) { HeldNotes += Note; });
+
+  if (O.Parallel) {
+    // Multi-threaded pipeline (docs/PARALLEL.md): same components, same
+    // event sequence per back-end, so the report below is byte-identical
+    // to the sequential loop's.
+    ParallelOptions POpts;
+    POpts.Workers = static_cast<unsigned>(O.ParallelWorkers);
+    POpts.BatchEvents = O.BatchEvents;
+    POpts.NoteCrashEvents = true;
+    POpts.CrashAt = O.CrashAt;
+    POpts.CrashSignal = static_cast<int>(O.CrashSignal);
+    if (Resuming) {
+      POpts.StartLine = RS.LineNo;
+      POpts.StartEvents = RS.EventsSeen;
+      POpts.StartThreads = RS.ThreadsSeen;
+      POpts.StartOrdinal = SanOrdinal;
+    }
+    if (!O.CheckpointFile.empty()) {
+      POpts.CheckpointEvery = O.CheckpointEvery;
+      POpts.CheckpointSink = [&O](const CheckpointCut &Cut,
+                                  std::string &Error) {
+        return writeCheckpoint(O, Cut, Error);
+      };
+    }
+    if (GovernedAnalysis *Gov = Stack.governor()) {
+      // The probe runs on the governor's worker; exhaustion stops the
+      // reader at the next batch boundary.
+      POpts.StopProbe = [&Stack] { return Stack.exhausted(); };
+      POpts.StopOwner = Gov;
+      if (Backend *Ref = Stack.reference()) {
+        // Pin the reference checker beside the governor so its
+        // post-breach drop lands on the exact event the sequential
+        // loop drops it at.
+        POpts.Colocate.push_back({Gov, Ref});
+        POpts.KeepDelivering = [&Stack](Backend *B) {
+          return Stack.keepDelivering(B);
+        };
+      }
+    }
+    if (const char *Spec = std::getenv("VELO_PIPELINE_STALL"))
+      if (!parsePipelineStall(Spec, POpts.Stall))
+        std::fprintf(stderr,
+                     "warning: ignoring malformed VELO_PIPELINE_STALL "
+                     "'%s'\n",
+                     Spec);
+    ParallelPipeline Pipe(*Src, Syms, San, Reducing ? &Filter : nullptr,
+                          Stack.delivery(), std::move(POpts));
+    PipelineResult PR = Pipe.run();
+    switch (PR.Err) {
+    case PipelineError::Parse:
+      std::fprintf(stderr, "error: %s\n",
+                   pathError(O.TraceFile, PR.Detail).c_str());
+      return 2;
+    case PipelineError::Sanitize:
+      std::fprintf(stderr, "error: %s: trace is not well formed: %s\n",
+                   O.TraceFile.c_str(), PR.Detail.c_str());
+      return 2;
+    case PipelineError::Checkpoint:
+      std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
+                   O.CheckpointFile.c_str(), PR.Detail.c_str());
+      return 2;
+    case PipelineError::None:
+      break;
+    }
+    Stack.setProgress(PR.EventsSeen, PR.ThreadsSeen);
+    SanOrdinal = PR.SanitizedEvents;
+  } else {
+    // The sequential twin of the pipeline's deposits: the cut after the
+    // record just delivered, at source offset Off.
+    auto Checkpoint = [&](uint64_t Off, std::string &Error) {
+      CheckpointCut Cut;
+      Cut.ByteOffset = Off;
+      Cut.LineNo = Src->lineNo();
+      Cut.EventsSeen = Stack.eventsSeen();
+      Cut.ThreadsSeen = Stack.threadsSeen();
+      SnapshotWriter SymsBlob;
+      serializeSymbols(SymsBlob, Syms);
+      Cut.SymsBlob = SymsBlob.payload();
+      Cut.SanBlob = stateBlob(San);
+      if (Reducing)
+        Cut.FilterBlob = stateBlob(Filter);
+      for (Backend *B : Stack.delivery())
+        Cut.Backends.emplace_back(B->name(), stateBlob(*B));
+      return writeCheckpoint(O, Cut, Error);
+    };
+    uint64_t NextCkpt = Stack.eventsSeen() + O.CheckpointEvery;
+    int Rc = readSanitized(
+        O.TraceFile, *Src, San,
+        [&](const Event &E, uint64_t Line) {
+          // After a governor stop, delivery ends; --witness reads on so
+          // that its oracle still sees the whole trace.
+          if (O.Witness)
+            Sanitized.push(E);
+          if (Stack.exhausted())
+            return;
+          ++SanOrdinal;
+          if (Reducing && !Filter.keep(E))
+            return;
+          crashdump::noteEvent(E, Stack.eventsSeen() + 1, Line);
+          Stack.deliver(E, SanOrdinal);
+          if (O.CrashAt != 0 &&
+              Stack.eventsSeen() - EventsAtStart >= O.CrashAt) {
+            // Test hook: simulate an analysis crash at a deterministic
+            // point.
+            std::fflush(nullptr);
+            ::raise(static_cast<int>(O.CrashSignal));
+          }
+        },
+        [&] {
+          if (Stack.exhausted())
+            return O.Witness ? 0 : StopReading;
+          if (!O.CheckpointFile.empty() && Stack.eventsSeen() >= NextCkpt) {
+            // The record just processed is fully delivered, so the source
+            // position is a clean resume boundary when tell() succeeds.
+            // Text: tellg() only fails at EOF on a file without a trailing
+            // newline (the run is about to finish anyway). Binary: tell()
+            // fails mid-frame, deferring the snapshot to the frame's end —
+            // so the cadence reset stays inside the success branch.
+            uint64_t Off = 0;
+            if (Src->tell(Off)) {
+              std::string Error;
+              if (!Checkpoint(Off, Error)) {
+                std::fprintf(stderr,
+                             "error: cannot write checkpoint %s: %s\n",
+                             O.CheckpointFile.c_str(), Error.c_str());
+                return 2;
+              }
+              NextCkpt = Stack.eventsSeen() + O.CheckpointEvery;
+            }
+          }
+          if (StopSignal != 0) {
+            // Graceful drain: the record just processed is fully
+            // delivered, so this is a clean resume boundary; persist it
+            // and exit 128+signal.
+            int Sig = static_cast<int>(StopSignal);
+            uint64_t Off = 0;
+            std::string Error;
+            if (!O.CheckpointFile.empty() && Src->tell(Off) &&
+                !Checkpoint(Off, Error))
+              std::fprintf(stderr, "error: cannot write checkpoint %s: %s\n",
+                           O.CheckpointFile.c_str(), Error.c_str());
+            std::fprintf(stderr,
+                         "shutdown: stopped by signal %d after %llu events; "
+                         "checkpoint %s is resumable\n",
+                         Sig,
+                         static_cast<unsigned long long>(Stack.eventsSeen()),
+                         O.CheckpointFile.c_str());
+            std::fflush(nullptr);
+            return 128 + Sig;
+          }
+          return 0;
+        });
+    if (Rc != 0)
+      return Rc;
+    Stack.end();
+  }
+  // Close the trace before the report is built: a VELOTRC source maps the
+  // whole file, which would otherwise stay resident and raise peak RSS.
+  Src.reset();
+  std::fputs(San.repairs().note().c_str(), stderr);
+  std::fputs(HeldNotes.c_str(), stderr);
   std::fputs(Stack.governorNote().c_str(), stderr);
 
   // Everything below flows through the report manager; the text renderer
@@ -963,19 +889,17 @@ int runAnalysis(Options O) {
   }
 
   if (O.Witness) {
-    OracleResult Oracle = checkSerializable(Buffered);
+    OracleResult Oracle = checkSerializable(Sanitized);
     if (Oracle.Serializable) {
-      TxnIndex Index = buildTxnIndex(Buffered);
+      TxnIndex Index = buildTxnIndex(Sanitized);
       RM.addNote("# serial witness\n" +
-                 printTrace(buildSerialWitness(Buffered, Index, Oracle)));
+                 printTrace(buildSerialWitness(Sanitized, Index, Oracle)));
     } else if (!O.Quiet) {
       RM.addNote("no witness: trace is not serializable\n");
     }
   }
 
-  const SymbolTable &ReportSyms =
-      O.Witness ? Buffered.symbols() : StreamSyms;
-  int Exit = Stack.report(RM, &ReportSyms);
+  int Exit = Stack.report(RM, &Syms);
   const std::string Doc = RM.render(O.Format, O.Quiet);
   std::fwrite(Doc.data(), 1, Doc.size(), stdout);
   return Exit;

@@ -171,9 +171,8 @@ int main(int argc, char **argv) {
     while (Src->next(E))
       W.add(E);
     if (Src->failed()) {
-      // error() is "line N: message"; render as "<path>:N: message".
-      std::fprintf(stderr, "error: %s:%s\n", InFile.c_str(),
-                   Src->error().c_str() + 5);
+      std::fprintf(stderr, "error: %s\n",
+                   pathError(InFile, Src->error()).c_str());
       return 2;
     }
     if (!W.finish()) {
@@ -189,8 +188,8 @@ int main(int argc, char **argv) {
       ++Converted;
     }
     if (Src->failed()) {
-      std::fprintf(stderr, "error: %s:%s\n", InFile.c_str(),
-                   Src->error().c_str() + 5);
+      std::fprintf(stderr, "error: %s\n",
+                   pathError(InFile, Src->error()).c_str());
       return 2;
     }
     Out.flush();
