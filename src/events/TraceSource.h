@@ -126,6 +126,28 @@ private:
   TraceStream TS;
 };
 
+/// What a salvage open of a VELOTRC container recovered (see
+/// BinaryTraceReader::openSalvage). Used stays false when the container
+/// was complete and no recovery was needed.
+struct SalvageSummary {
+  bool Used = false;         ///< prefix recovery actually engaged
+  uint64_t FramesKept = 0;   ///< intact events frames accepted
+  uint64_t EventsKept = 0;   ///< events in the accepted prefix
+  uint64_t BytesDropped = 0; ///< bytes discarded after the prefix
+};
+
+/// Options for openTraceSource.
+struct TraceOpenOptions {
+  /// Binary containers: accept the longest intact frame prefix of a
+  /// truncated file instead of rejecting it (velodrome-check --salvage).
+  /// Text input cannot be salvaged; callers gate the flag on the sniffed
+  /// format first.
+  bool Salvage = false;
+  /// When non-null and the source is binary, receives the recovery
+  /// outcome after a salvage open.
+  SalvageSummary *SalvageOut = nullptr;
+};
+
 /// Open Path as a trace source, sniffing the VELOTRC magic to pick the
 /// encoding. On NotFound/IoError returns null with StatusOut/ErrorOut set
 /// (same messages as readTraceFileStatus). A malformed binary container

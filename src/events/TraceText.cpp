@@ -157,10 +157,9 @@ bool writeTraceFile(const Trace &T, const std::string &Path) {
 }
 
 TraceReadStatus readTraceFileStatus(const std::string &Path, Trace &Out,
-                                    std::string &ErrorOut,
-                                    const TraceOpenOptions &Opts) {
+                                    std::string &ErrorOut) {
   TraceReadStatus St = TraceReadStatus::Ok;
-  auto Src = openTraceSource(Path, Out.symbols(), St, ErrorOut, Opts);
+  auto Src = openTraceSource(Path, Out.symbols(), St, ErrorOut);
   if (!Src)
     return St;
   Event E;

@@ -74,35 +74,12 @@ enum class TraceReadStatus {
   ParseError, ///< the file was read but a line is malformed
 };
 
-/// What a salvage open of a VELOTRC container recovered (see
-/// BinaryTraceReader::openSalvage). Used stays false when the container
-/// was complete and no recovery was needed.
-struct SalvageSummary {
-  bool Used = false;         ///< prefix recovery actually engaged
-  uint64_t FramesKept = 0;   ///< intact events frames accepted
-  uint64_t EventsKept = 0;   ///< events in the accepted prefix
-  uint64_t BytesDropped = 0; ///< bytes discarded after the prefix
-};
-
-/// Options for opening a trace file (openTraceSource, readTraceFileStatus).
-struct TraceOpenOptions {
-  /// Binary containers: accept the longest intact frame prefix of a
-  /// truncated file instead of rejecting it (velodrome-check --salvage).
-  /// Text input cannot be salvaged; callers gate the flag on the sniffed
-  /// format first.
-  bool Salvage = false;
-  /// When non-null and the source is binary, receives the recovery
-  /// outcome after a salvage open.
-  SalvageSummary *SalvageOut = nullptr;
-};
-
 /// Read a whole trace file of either encoding: a drain of
 /// openTraceSource. On failure, ErrorOut carries the failing path and
 /// strerror(errno) for I/O problems, or "<path>:N: message" for parse
 /// problems.
 TraceReadStatus readTraceFileStatus(const std::string &Path, Trace &Out,
-                                    std::string &ErrorOut,
-                                    const TraceOpenOptions &Opts = {});
+                                    std::string &ErrorOut);
 
 /// Read a trace from a file. Returns false and sets ErrorOut on failure.
 inline bool readTraceFile(const std::string &Path, Trace &Out,

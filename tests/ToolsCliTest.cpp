@@ -167,6 +167,23 @@ TEST(CheckCliTest, StrictModeRejectsIllFormedTraces) {
         << F;
     EXPECT_EQ(Witness, Plain) << F;
   }
+
+  // Both stream the file, so an ill-formed event is reported before a
+  // later unparseable line is ever read.
+  std::string T = ::testing::TempDir() + "/velo_cli_illformed_first.trace";
+  {
+    std::ofstream Out(T);
+    Out << "T1 end\nT1 garbage x\n";
+  }
+  for (const char *Flags : {" --quiet ", " --quiet --witness "}) {
+    std::string Out;
+    EXPECT_EQ(runCmdAll(std::string(VELO_CHECK_BIN) + Flags + T, Out), 2)
+        << Flags;
+    EXPECT_NE(Out.find("trace is not well formed: line 1: "),
+              std::string::npos)
+        << Flags << Out;
+  }
+  std::remove(T.c_str());
 }
 
 TEST(CheckCliTest, LenientModeRepairsAndReportsAVerdict) {
