@@ -11,25 +11,15 @@
 #include "hbrace/HbRaceDetector.h"
 #include "report/Report.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <iterator>
 
 namespace velo {
-
-/// What a back-end contributes to the governed verdict pair.
-enum class GovernorRole {
-  None,      ///< observer: delivered beside the governor
-  Primary,   ///< full-fidelity graph checker
-  Reference, ///< graph checker without GC: dropped after a cap breach
-  Fallback,  ///< vector-clock checker: the primary's hot spare
-};
 
 struct AnalysisStack::Row {
   const char *Name;
   bool InAll;
   unsigned VerdictRank; ///< highest selected carries the verdict; 0 = none
-  GovernorRole Role;
+  bool Fallback;        ///< vector-clock checker: the primary's hot spare
   std::unique_ptr<Backend> (*Make)(const StackOptions &);
   GovernedAnalysis::Probe (*Probe)(Backend &);      ///< as governed primary
   GovernedAnalysis::FailProbe (*Failed)(Backend &); ///< as governed primary
@@ -76,22 +66,20 @@ GovernedAnalysis::FailProbe velodromeFailed(Backend &B) {
   };
 }
 
-// The registry, in report-table order. The deadlock checker is opt-in:
-// `all` keeps meaning the atomicity/race table.
+// The registry, in report-table order. Two rows are opt-in: the Figure 2
+// reference checker (no GC, quadratic cycle checks), a specification to
+// test against, and the deadlock checker, so `all` is the atomicity/race
+// table at Velodrome's cost.
 const AnalysisStack::Row Registry[] = {
-    {"velodrome", true, 3, GovernorRole::Primary, makeVelodrome,
-     velodromeProbe, velodromeFailed},
-    {"basic", true, 2, GovernorRole::Reference, makeDefault<BasicVelodrome>,
-     nullptr, nullptr},
-    {"aero", true, 1, GovernorRole::Fallback,
-     makeCapped<AeroDrome, AeroDromeOptions>, nullptr, nullptr},
-    {"atomizer", true, 0, GovernorRole::None, makeDefault<Atomizer>, nullptr,
+    {"velodrome", true, 3, false, makeVelodrome, velodromeProbe,
+     velodromeFailed},
+    {"basic", false, 2, false, makeDefault<BasicVelodrome>, nullptr, nullptr},
+    {"aero", true, 1, true, makeCapped<AeroDrome, AeroDromeOptions>, nullptr,
      nullptr},
-    {"eraser", true, 0, GovernorRole::None, makeDefault<Eraser>, nullptr,
-     nullptr},
-    {"hb", true, 0, GovernorRole::None, makeDefault<HbRaceDetector>, nullptr,
-     nullptr},
-    {"deadlock", false, 0, GovernorRole::None,
+    {"atomizer", true, 0, false, makeDefault<Atomizer>, nullptr, nullptr},
+    {"eraser", true, 0, false, makeDefault<Eraser>, nullptr, nullptr},
+    {"hb", true, 0, false, makeDefault<HbRaceDetector>, nullptr, nullptr},
+    {"deadlock", false, 0, false,
      makeCapped<DeadlockDetector, DeadlockOptions>, nullptr, nullptr},
 };
 
@@ -155,8 +143,7 @@ bool AnalysisStack::build(const std::vector<std::string> &Names,
       PrimaryRow = &Registry[I];
   const bool Governed = PrimaryRow && Opts.Limits.any();
   for (size_t I = 0; I < std::size(Registry); ++I)
-    if (Registry[I].Role == GovernorRole::Fallback &&
-        &Registry[I] != PrimaryRow &&
+    if (Registry[I].Fallback && &Registry[I] != PrimaryRow &&
         (Selected[I] || (Governed && Opts.HotSpare)))
       FallbackRow = &Registry[I];
 
@@ -164,7 +151,6 @@ bool AnalysisStack::build(const std::vector<std::string> &Names,
   Reporting.clear();
   Delivery.clear();
   Gov.reset();
-  Reference = nullptr;
   EventsSeen = 0;
   ThreadsSeen = 0;
   Backend *Primary = nullptr, *Fallback = nullptr;
@@ -190,13 +176,9 @@ bool AnalysisStack::build(const std::vector<std::string> &Names,
         P.Failed ? P.Failed(*Primary) : nullptr);
     Delivery.push_back(Gov.get());
   }
-  for (const Built &In : Instances) {
-    if (Governed && (In.B.get() == Primary || In.B.get() == Fallback))
-      continue;
-    Delivery.push_back(In.B.get());
-    if (Governed && In.R->Role == GovernorRole::Reference)
-      Reference = In.B.get();
-  }
+  for (const Built &In : Instances)
+    if (!Governed || (In.B.get() != Primary && In.B.get() != Fallback))
+      Delivery.push_back(In.B.get());
   return true;
 }
 
@@ -205,18 +187,6 @@ Backend *AnalysisStack::backend(std::string_view Name) const {
     if (Name == In.R->Name)
       return In.B.get();
   return nullptr;
-}
-
-void AnalysisStack::note(const std::string &Text) const {
-  if (NoteSink)
-    NoteSink(Text);
-  else
-    std::fputs(Text.c_str(), stderr);
-}
-
-void AnalysisStack::dropReference() {
-  Delivery.erase(std::find(Delivery.begin(), Delivery.end(), Reference));
-  Reference = nullptr;
 }
 
 std::string AnalysisStack::governorNote() const {
@@ -267,27 +237,27 @@ void AnalysisStack::saveDelivery(SnapshotWriter &W) const {
 }
 
 bool AnalysisStack::restoreDelivery(SnapshotReader &R, std::string &BadName) {
-  // The snapshot lists the back-ends still live when it was written (the
-  // reference checker may already have been dropped), so membership is
-  // restored by name.
+  // Snapshots written while `all` still included the reference checker
+  // list it; a stack that did not build it skips its entry.
+  const bool SkipBasic = !backend("basic");
   uint64_t NumSaved = R.u64();
-  std::vector<Backend *> Restored;
+  size_t Next = 0;
   for (uint64_t I = 0; I < NumSaved && !R.failed(); ++I) {
     std::string Name = R.str();
     SnapshotReader Blob = R.blob();
-    Backend *Found = nullptr;
-    for (Backend *B : Delivery)
-      if (Name == B->name())
-        Found = B;
-    if (!Found || !Found->deserialize(Blob)) {
+    if (SkipBasic && Name == "Velodrome(basic)")
+      continue;
+    if (Next == Delivery.size() || Name != Delivery[Next]->name() ||
+        !Delivery[Next]->deserialize(Blob)) {
       BadName = Name;
       return false;
     }
-    Restored.push_back(Found);
+    ++Next;
   }
-  if (std::find(Restored.begin(), Restored.end(), Reference) == Restored.end())
-    Reference = nullptr;
-  Delivery = std::move(Restored);
+  if (Next < Delivery.size() && !R.failed()) {
+    BadName = Delivery[Next]->name();
+    return false;
+  }
   return true;
 }
 

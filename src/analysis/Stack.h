@@ -6,13 +6,13 @@
 // --parallel), serve sessions, velodrome-run and velodrome-fuzz all use it.
 //
 // The registry (Stack.cpp) has one row per selectable name: its factory,
-// whether `all` includes it, its verdict rank, its governor role and, for
-// Velodrome, the live-node and slot-exhaustion probes. The highest-ranked
-// selected verdict checker is the governed primary; the fallback-role
-// checker (AeroDrome), when selected, is its lockstep vector-clock hot
-// spare. The reference checker (Velodrome(basic): no GC, quadratic cycle
-// checks) leaves delivery once the governor leaves Normal; its warnings up
-// to that point are kept.
+// whether `all` includes it, its verdict rank, whether it is the fallback
+// checker and, for Velodrome, the live-node and slot-exhaustion probes.
+// The highest-ranked selected verdict checker is the governed primary; the
+// fallback checker (AeroDrome), when selected, is its lockstep vector-clock
+// hot spare. `all` is velodrome, aero, atomizer, eraser and hb; the Figure 2
+// reference checker (basic: no GC, quadratic cycle checks) and the deadlock
+// checker are opt-in.
 //
 // Delivery is a flat vector of Backend pointers: the per-event path does
 // no name lookups and no std::function calls.
@@ -24,7 +24,6 @@
 
 #include "analysis/Governor.h"
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -74,11 +73,6 @@ public:
   bool build(const std::vector<std::string> &Names, const StackOptions &Opts,
              std::string &Err);
 
-  /// Where notes (the reference-checker drop) go; stderr when unset.
-  void setNoteSink(std::function<void(const std::string &)> Sink) {
-    NoteSink = std::move(Sink);
-  }
-
   /// The instance built for a registry name; null when not built.
   Backend *backend(std::string_view Name) const;
   template <typename T> T *get(std::string_view Name) const {
@@ -90,8 +84,6 @@ public:
   /// Delivered back-ends: the governor stands in for its pair.
   const std::vector<Backend *> &delivery() const { return Delivery; }
   GovernedAnalysis *governor() const { return Gov.get(); }
-  /// The reference checker while it awaits the post-breach drop.
-  Backend *reference() const { return Reference; }
 
   void begin(const SymbolTable &Syms) {
     for (Backend *B : Delivery)
@@ -109,18 +101,6 @@ public:
       B->setEventOrdinal(Ordinal);
       B->onEvent(E);
     }
-    if (Reference && !keepDelivering(Reference))
-      dropReference();
-  }
-
-  /// The drop rule as a per-back-end predicate, for the parallel
-  /// pipeline's KeepDelivering hook. It reads governor state only for the
-  /// reference checker, which must share the governor's worker.
-  bool keepDelivering(Backend *B) const {
-    if (B != Reference || Gov->state() == GovernorState::Normal)
-      return true;
-    note(DropNote);
-    return false;
   }
 
   /// The governor ran out of budget: stop delivering.
@@ -152,13 +132,16 @@ public:
   /// exit code.
   int report(ReportManager &RM, const SymbolTable *Syms) const;
 
-  /// Write the live delivery set: u64 count, then per back-end its
+  /// Write the delivery set: u64 count, then per back-end its
   /// Backend::name() and state blob. Every registry back-end supports
   /// snapshots.
   void saveDelivery(SnapshotWriter &W) const;
   /// Restore what saveDelivery wrote into an identically built, begun
-  /// stack, membership included. On an unknown name or bad state returns
-  /// false with the name in BadName; a truncated list leaves R failed.
+  /// stack: every delivered back-end, in delivery order. A Velodrome(basic)
+  /// entry is skipped when basic was not built (snapshots written while
+  /// `all` included it). On any other unknown, missing or out-of-order
+  /// name, or bad state, returns false with the name in BadName; a
+  /// truncated list leaves R failed.
   bool restoreDelivery(SnapshotReader &R, std::string &BadName);
 
 private:
@@ -167,20 +150,11 @@ private:
     std::unique_ptr<Backend> B;
   };
 
-  void note(const std::string &Text) const;
-  void dropReference();
-
-  static constexpr const char *DropNote =
-      "governor: stopped the reference checker (Velodrome(basic), no GC) "
-      "after the cap breach\n";
-
   std::vector<Built> Instances; ///< registry order
   std::unique_ptr<GovernedAnalysis> Gov;
   std::vector<Backend *> Reporting, Delivery;
-  Backend *Reference = nullptr;
   uint64_t EventsSeen = 0;
   uint32_t ThreadsSeen = 0;
-  std::function<void(const std::string &)> NoteSink;
 };
 
 } // namespace velo

@@ -68,10 +68,7 @@ struct CheckpointCut {
   std::string SymsBlob;    ///< serialized symbol table at the boundary
   std::string SanBlob;     ///< serialized sanitizer state
   std::string FilterBlob;  ///< serialized reduction filter ("" when off)
-  /// (backend name, serialized state), in delivery order. An empty state
-  /// blob marks a back-end dropped from delivery before this boundary
-  /// (the governor's post-breach drop); sinks must skip such entries.
-  /// Live back-ends never serialize to zero bytes.
+  /// (backend name, serialized state), in delivery order.
   std::vector<std::pair<std::string, std::string>> Backends;
 };
 

@@ -416,7 +416,6 @@ void ParallelPipeline::workerMain(size_t Index) {
   Worker &W = Workers[Index];
   for (size_t Idx : W.Owned)
     Delivery[Idx]->rebindSymbols(W.Replica);
-  std::vector<size_t> Live = W.Owned;
   const bool OwnsProbe =
       Opts.StopProbe && Opts.StopOwner &&
       std::find_if(W.Owned.begin(), W.Owned.end(), [&](size_t Idx) {
@@ -430,24 +429,15 @@ void ParallelPipeline::workerMain(size_t Index) {
     for (size_t EI = 0; EI < B->Events.size(); ++EI) {
       const Event &E = B->Events[EI];
       const uint64_t Ord = EI < B->Ordinals.size() ? B->Ordinals[EI] : 0;
-      for (size_t Idx : Live) {
+      for (size_t Idx : W.Owned) {
         Delivery[Idx]->setEventOrdinal(Ord);
         Delivery[Idx]->onEvent(E);
       }
-      if (Opts.KeepDelivering)
-        Live.erase(std::remove_if(Live.begin(), Live.end(),
-                                  [&](size_t Idx) {
-                                    return !Opts.KeepDelivering(
-                                        Delivery[Idx]);
-                                  }),
-                   Live.end());
     }
     if (B->Ticket) {
       auto Ticket = B->Ticket;
       deposit(Ticket, [&](CheckpointCut &Cut) {
         for (size_t Idx : W.Owned) {
-          if (std::find(Live.begin(), Live.end(), Idx) == Live.end())
-            continue; // dropped back-end: blob stays empty
           SnapshotWriter BW;
           Delivery[Idx]->serialize(BW);
           Cut.Backends[Idx].second = BW.payload();
@@ -459,7 +449,7 @@ void ParallelPipeline::workerMain(size_t Index) {
     B.reset();
   }
   if (!Aborted.load() && !ParseFailed.load() && !SanFailed.load())
-    for (size_t Idx : Live)
+    for (size_t Idx : W.Owned)
       Delivery[Idx]->endAnalysis();
 }
 
@@ -472,48 +462,19 @@ PipelineResult ParallelPipeline::run() {
   ThreadsSeen = Opts.StartThreads;
   SanOrdinal = Opts.StartOrdinal;
 
-  // Group co-located back-ends, then deal groups to workers round-robin
-  // in delivery order.
-  std::vector<size_t> Group(Delivery.size());
-  for (size_t I = 0; I < Group.size(); ++I)
-    Group[I] = I;
-  for (const auto &Pair : Opts.Colocate) {
-    size_t A = Delivery.size(), B = Delivery.size();
-    for (size_t I = 0; I < Delivery.size(); ++I) {
-      if (Delivery[I] == Pair.first)
-        A = I;
-      if (Delivery[I] == Pair.second)
-        B = I;
-    }
-    if (A == Delivery.size() || B == Delivery.size())
-      continue;
-    size_t From = Group[B], To = Group[A];
-    for (size_t &G : Group)
-      if (G == From)
-        G = To;
-  }
-  std::vector<size_t> GroupOrder; // distinct group ids, first-seen order
-  for (size_t G : Group)
-    if (std::find(GroupOrder.begin(), GroupOrder.end(), G) ==
-        GroupOrder.end())
-      GroupOrder.push_back(G);
-
-  NumWorkers = Opts.Workers != 0
-                   ? Opts.Workers
-                   : static_cast<unsigned>(GroupOrder.size());
-  if (NumWorkers > GroupOrder.size())
-    NumWorkers = static_cast<unsigned>(GroupOrder.size());
+  // Deal the back-ends to workers round-robin in delivery order.
+  NumWorkers = Opts.Workers != 0 ? Opts.Workers
+                                 : static_cast<unsigned>(Delivery.size());
+  if (NumWorkers > Delivery.size())
+    NumWorkers = static_cast<unsigned>(Delivery.size());
   if (NumWorkers == 0)
     NumWorkers = 1;
 
   Workers.clear();
   Workers.resize(NumWorkers);
-  for (size_t GI = 0; GI < GroupOrder.size(); ++GI)
-    for (size_t I = 0; I < Delivery.size(); ++I)
-      if (Group[I] == GroupOrder[GI])
-        Workers[GI % NumWorkers].Owned.push_back(I);
+  for (size_t I = 0; I < Delivery.size(); ++I)
+    Workers[I % NumWorkers].Owned.push_back(I);
   for (Worker &W : Workers) {
-    std::sort(W.Owned.begin(), W.Owned.end()); // keep delivery order
     // Replicas are copied before any thread starts, so the reader's
     // interning never races a back-end's name lookup.
     W.Replica = Syms;

@@ -139,18 +139,6 @@ struct ParallelOptions {
   std::function<bool()> StopProbe;
   Backend *StopOwner = nullptr;
 
-  /// Called on B's owning worker after each event delivered to B;
-  /// returning false permanently removes B from delivery (no further
-  /// events, no endAnalysis, no checkpoint deposit), mirroring the
-  /// sequential loop's post-breach drop of the reference checker. The
-  /// decision is per-event exact only when the state it reads lives on
-  /// the same worker — pin the observer next to the observed with
-  /// Colocate.
-  std::function<bool(Backend *B)> KeepDelivering;
-  /// Back-end pairs that must share a worker (e.g. the governor and the
-  /// reference checker whose drop it triggers).
-  std::vector<std::pair<Backend *, Backend *>> Colocate;
-
   PipelineStall Stall; ///< test-only stall injection
 };
 

@@ -31,7 +31,6 @@ bool Session::buildPipeline(std::string &Err) {
   Opts.Limits = Config.Limits;
   if (!P->Stack.build(Config.BackendSel, Opts, Err))
     return false;
-  P->Stack.setNoteSink([this](const std::string &Text) { Notes += Text; });
   Pipe = std::move(P);
   return true;
 }
@@ -125,7 +124,7 @@ bool Session::snapshot(std::string &Blob, std::string &Err) {
   W.u64(P.Stack.eventsSeen());
   W.u32(P.Stack.threadsSeen());
   W.boolean(P.Stopped);
-  W.str(Notes);
+  W.str(std::string()); // notes: finish() adds every note
 
   SnapshotWriter SymsBlob;
   serializeSymbols(SymsBlob, P.Syms);
@@ -134,8 +133,7 @@ bool Session::snapshot(std::string &Blob, std::string &Err) {
   P.San.serialize(SanBlob);
   W.blob(SanBlob);
 
-  // Delivery membership is part of the state: the reference checker may
-  // already have been dropped.
+  // Every delivered back-end's state, by name, in delivery order.
   P.Stack.saveDelivery(W);
   Blob = W.payload();
   return true;
@@ -169,14 +167,16 @@ bool Session::rehydrate(const std::string &Blob, std::string &Err) {
   uint64_t EventsSeen = R.u64();
   uint32_t ThreadsSeen = R.u32();
   bool Stopped = R.boolean();
-  std::string SavedNotes = R.str();
+  // Notes: finish() adds every note. A snapshot whose `all` included
+  // basic may carry its drop note, which no longer applies.
+  R.str();
   if (R.failed()) {
     Err = "corrupt session snapshot";
     return false;
   }
 
   Config = C;
-  Notes = SavedNotes;
+  Notes.clear();
   Finished = false;
   if (!buildPipeline(Err))
     return false;

@@ -72,8 +72,8 @@ public:
   /// velodrome-check exit-code contract: 0 serializable, 1 violation,
   /// 3 resource-limited. Valid after finish().
   int exitCode() const { return Exit; }
-  /// stderr-equivalent diagnostics (lenient repairs, governor breaches),
-  /// accumulated across the session.
+  /// stderr-equivalent diagnostics (lenient repairs, governor breaches).
+  /// Valid after finish().
   const std::string &notes() const { return Notes; }
 
   uint64_t eventsSeen() const;

@@ -4,9 +4,10 @@
 // behind velodrome-check, serve, run and fuzz:
 //
 //  * registry: the name list, what `all` selects, unknown names;
-//  * roles: governed primary/fallback pairs, the reference checker's
-//    post-breach drop, the verdict rank when ungoverned;
-//  * save/restore of the live delivery set by back-end name;
+//  * roles: governed primary/fallback pairs, the verdict rank when
+//    ungoverned;
+//  * save/restore of the delivery set by back-end name, including
+//    snapshots whose `all` still listed the reference checker;
 //  * parity: a serve::Session, fed straight or evicted and rehydrated
 //    midway, renders the report, exit code and notes of
 //    `velodrome-check --backend=<name>` for every registry name and `all`.
@@ -80,9 +81,11 @@ TEST(StackRegistryTest, NamesAndAllSelection) {
   EXPECT_EQ(Err, "unknown backend: quantum");
 
   ASSERT_TRUE(S.build("all", StackOptions(), Err)) << Err;
-  EXPECT_EQ(S.reporting().size(), Want.size() - 1);
+  EXPECT_EQ(S.reporting().size(), Want.size() - 2);
   EXPECT_EQ(S.backend("deadlock"), nullptr)
       << "all is the atomicity/race table; deadlock is opt-in";
+  EXPECT_EQ(S.backend("basic"), nullptr)
+      << "the no-GC reference checker is opt-in";
 }
 
 TEST(StackRegistryTest, GovernorWiringFollowsRoles) {
@@ -91,21 +94,19 @@ TEST(StackRegistryTest, GovernorWiringFollowsRoles) {
   std::string Err;
 
   // all: the governor stands in for Velodrome + AeroDrome; the rest are
-  // delivered beside it, the reference checker among them.
+  // delivered beside it.
   AnalysisStack All;
   ASSERT_TRUE(All.build("all", Capped, Err)) << Err;
   ASSERT_NE(All.governor(), nullptr);
-  ASSERT_EQ(All.delivery().size(), 5u);
+  ASSERT_EQ(All.delivery().size(), 4u);
   EXPECT_EQ(All.delivery()[0], All.governor());
-  EXPECT_EQ(All.reference(), All.backend("basic"));
-  EXPECT_EQ(All.reporting().size(), 6u);
+  EXPECT_EQ(All.reporting().size(), 5u);
 
   // A lone verdict checker is its own governed primary, with no spare.
   AnalysisStack Aero;
   ASSERT_TRUE(Aero.build("aero", Capped, Err)) << Err;
   ASSERT_NE(Aero.governor(), nullptr);
   EXPECT_EQ(Aero.delivery().size(), 1u);
-  EXPECT_EQ(Aero.reference(), nullptr);
 
   // Observers are never governed.
   AnalysisStack Dlk;
@@ -131,30 +132,6 @@ TEST(StackRegistryTest, GovernorWiringFollowsRoles) {
   EXPECT_EQ(Run.delivery().size(), 2u);
 }
 
-TEST(StackTest, ReferenceCheckerDroppedOnceAfterBreach) {
-  Trace T = contendedTrace(7);
-  StackOptions Opts;
-  Opts.Limits.MaxLiveNodes = 1;
-  AnalysisStack S;
-  std::string Err, Notes;
-  ASSERT_TRUE(S.build("all", Opts, Err)) << Err;
-  S.setNoteSink([&Notes](const std::string &N) { Notes += N; });
-  S.begin(T.symbols());
-  feedAll(S, T);
-  S.end();
-
-  EXPECT_EQ(S.reference(), nullptr);
-  for (Backend *B : S.delivery())
-    EXPECT_NE(B, S.backend("basic")) << "reference checker still delivered";
-  EXPECT_EQ(Notes, "governor: stopped the reference checker "
-                   "(Velodrome(basic), no GC) after the cap breach\n");
-  EXPECT_EQ(S.governor()->state(), GovernorState::Degraded);
-  EXPECT_NE(S.governorNote().find("fell back to the vector-clock checker"),
-            std::string::npos)
-      << S.governorNote();
-  EXPECT_EQ(S.eventsSeen(), T.size());
-}
-
 TEST(StackTest, UngovernedVerdictComesFromTheHighestRank) {
   // rmw_violation: every verdict checker sees the violation; observers
   // never carry a verdict.
@@ -175,7 +152,7 @@ TEST(StackTest, UngovernedVerdictComesFromTheHighestRank) {
 TEST(StackTest, DeliverySetSurvivesSaveAndRestore) {
   Trace T = contendedTrace(11);
   StackOptions Opts;
-  Opts.Limits.MaxLiveNodes = 3; // the reference drop happens mid-trace
+  Opts.Limits.MaxLiveNodes = 3; // the governor degrades mid-trace
   auto reportOf = [&](AnalysisStack &S) {
     ReportManager RM;
     S.report(RM, &T.symbols());
@@ -185,25 +162,20 @@ TEST(StackTest, DeliverySetSurvivesSaveAndRestore) {
   AnalysisStack Straight;
   std::string Err;
   ASSERT_TRUE(Straight.build("all", Opts, Err)) << Err;
-  Straight.setNoteSink([](const std::string &) {});
   Straight.begin(T.symbols());
   feedAll(Straight, T);
   Straight.end();
 
-  size_t SavedDropped = 0, SavedLive = 0;
   for (size_t Split : {size_t(0), T.size() / 3, T.size() / 2}) {
     AnalysisStack First;
     ASSERT_TRUE(First.build("all", Opts, Err)) << Err;
-    First.setNoteSink([](const std::string &) {});
     First.begin(T.symbols());
     feedAll(First, T, 0, Split);
     SnapshotWriter W;
     First.saveDelivery(W);
-    ++(First.reference() ? SavedLive : SavedDropped);
 
     AnalysisStack Second;
     ASSERT_TRUE(Second.build("all", Opts, Err)) << Err;
-    Second.setNoteSink([](const std::string &) {});
     Second.begin(T.symbols());
     SnapshotReader R(W.payload());
     std::string BadName;
@@ -216,8 +188,6 @@ TEST(StackTest, DeliverySetSurvivesSaveAndRestore) {
     EXPECT_EQ(reportOf(Second), reportOf(Straight)) << "split " << Split;
     EXPECT_EQ(Second.verdict().Exit, Straight.verdict().Exit);
   }
-  EXPECT_GT(SavedLive, 0u);
-  EXPECT_GT(SavedDropped, 0u) << "no snapshot after the reference drop";
 
   // A snapshot naming a back-end this stack did not build is refused.
   AnalysisStack Aero;
@@ -229,6 +199,66 @@ TEST(StackTest, DeliverySetSurvivesSaveAndRestore) {
   std::string BadName;
   EXPECT_FALSE(Aero.restoreDelivery(R, BadName));
   EXPECT_EQ(BadName, "Governed");
+}
+
+TEST(StackTest, SnapshotsListingTheReferenceCheckerRestoreIntoAll) {
+  // Checkpoints and evicted sessions written while `all` included basic
+  // list a Velodrome(basic) entry. Built from that roster, governed as
+  // velodrome-check's default caps govern it, a mid-trace snapshot
+  // restores into today's `all` and finishes with the straight report.
+  Trace T = contendedTrace(13);
+  StackOptions Opts;
+  Opts.Limits.MaxLiveNodes = DefaultMaxLiveNodes;
+  auto reportOf = [&](AnalysisStack &S) {
+    ReportManager RM;
+    S.report(RM, &T.symbols());
+    return RM.renderText();
+  };
+  std::string Err;
+  AnalysisStack Straight;
+  ASSERT_TRUE(Straight.build("all", Opts, Err)) << Err;
+  Straight.begin(T.symbols());
+  feedAll(Straight, T);
+  Straight.end();
+
+  auto snapshotOf = [&](const std::vector<std::string> &Names,
+                        AnalysisStack &Old) {
+    EXPECT_TRUE(Old.build(Names, Opts, Err)) << Err;
+    Old.begin(T.symbols());
+    feedAll(Old, T, 0, T.size() / 2);
+    SnapshotWriter W;
+    Old.saveDelivery(W);
+    return W.payload();
+  };
+  AnalysisStack Old;
+  const std::string Blob = snapshotOf(
+      {"velodrome", "basic", "aero", "atomizer", "eraser", "hb"}, Old);
+  ASSERT_NE(Old.backend("basic"), nullptr);
+
+  AnalysisStack New;
+  ASSERT_TRUE(New.build("all", Opts, Err)) << Err;
+  New.begin(T.symbols());
+  SnapshotReader R(Blob);
+  std::string BadName;
+  ASSERT_TRUE(New.restoreDelivery(R, BadName)) << BadName;
+  ASSERT_FALSE(R.failed());
+  ASSERT_TRUE(R.atEnd());
+  New.setProgress(Old.eventsSeen(), Old.threadsSeen());
+  feedAll(New, T, T.size() / 2);
+  New.end();
+  EXPECT_EQ(reportOf(New), reportOf(Straight));
+  EXPECT_EQ(New.verdict().Exit, Straight.verdict().Exit);
+
+  // A snapshot without a back-end this stack built is refused by name.
+  AnalysisStack NoHb;
+  const std::string Short = snapshotOf(
+      {"velodrome", "basic", "aero", "atomizer", "eraser"}, NoHb);
+  AnalysisStack Refused;
+  ASSERT_TRUE(Refused.build("all", Opts, Err)) << Err;
+  Refused.begin(T.symbols());
+  SnapshotReader RS(Short);
+  EXPECT_FALSE(Refused.restoreDelivery(RS, BadName));
+  EXPECT_EQ(BadName, "HB");
 }
 
 //===----------------------------------------------------------------------===//

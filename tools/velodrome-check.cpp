@@ -6,8 +6,10 @@
 //   velodrome-check [options] <trace-file>
 //
 //     --backend=<name>  a name from the analysis stack's registry
-//                      (analysis/Stack.cpp), or all (the default; the
-//                      deadlock checker must be selected explicitly)
+//                      (analysis/Stack.cpp), or all (the default:
+//                      velodrome, aero, atomizer, eraser, hb; the
+//                      reference checker basic and the deadlock checker
+//                      must be selected explicitly)
 //     --format=<text|json|sarif>  report rendering (default text; see
 //                      docs/REPORTING.md for the JSON schema and SARIF
 //                      conventions). Machine formats replace the stdout
@@ -36,7 +38,7 @@
 //     --max-events=N       stop after N events            (0 = unlimited)
 //     --max-live-nodes=N   graph node cap, fall back to the vector-clock
 //                          checker on breach              (default 60000)
-//     --max-memory-mb=N    estimated-memory cap           (0 = unlimited)
+//     --max-memory-mb=N    graph-memory cap               (0 = unlimited)
 //     --deadline-ms=N      wall-clock budget              (0 = unlimited)
 //
 //   Crash resilience (docs/OPERATIONS.md):
@@ -102,7 +104,8 @@ void usage() {
       "usage: velodrome-check [options] <trace-file>\n"
       "  <trace-file> may be text or a VELOTRC .vtrc container\n"
       "  (auto-detected; see velodrome-convert and docs/INGESTION.md)\n"
-      "  --backend=<%s>  (default all)\n"
+      "  --backend=<%s>\n"
+      "                 (default all: velodrome, aero, atomizer, eraser, hb)\n"
       "  --format=<text|json|sarif>  report rendering (default text;\n"
       "                 see docs/REPORTING.md)\n"
       "  --max-warnings=N  cap recorded warnings per back-end\n"
@@ -381,9 +384,7 @@ bool loadHeader(const std::string &Path, Options &O, ResumeState &RS,
 /// configuration, then the stream position), then the state blobs of a
 /// cut. The sequential loop builds its cut at a record boundary and the
 /// pipeline deposits one at a batch boundary, so each mode resumes the
-/// other's snapshots. A back-end entry with an empty blob was dropped from
-/// delivery before the boundary (the governor's post-breach drop) and is
-/// omitted.
+/// other's snapshots.
 bool writeCheckpoint(const Options &O, const CheckpointCut &Cut,
                      std::string &ErrorOut) {
   SnapshotWriter W;
@@ -405,14 +406,8 @@ bool writeCheckpoint(const Options &O, const CheckpointCut &Cut,
   W.str(Cut.SymsBlob);
   W.str(Cut.SanBlob);
   W.str(Cut.FilterBlob);
-  uint64_t Live = 0;
-  for (const auto &Entry : Cut.Backends)
-    if (!Entry.second.empty())
-      ++Live;
-  W.u64(Live);
+  W.u64(Cut.Backends.size());
   for (const auto &Entry : Cut.Backends) {
-    if (Entry.second.empty())
-      continue;
     W.str(Entry.first);
     W.str(Entry.second);
   }
@@ -684,13 +679,6 @@ int runAnalysis(Options O) {
       return ResumeFailed(SeekErr);
   }
 
-  // --witness once sanitized the whole trace before delivering, so its
-  // repair note comes before the reference checker's drop note; hold the
-  // drop note back to keep that order.
-  std::string HeldNotes;
-  if (O.Witness)
-    Stack.setNoteSink([&](const std::string &Note) { HeldNotes += Note; });
-
   if (O.Parallel) {
     // Multi-threaded pipeline (docs/PARALLEL.md): same components, same
     // event sequence per back-end, so the report below is byte-identical
@@ -719,15 +707,6 @@ int runAnalysis(Options O) {
       // reader at the next batch boundary.
       POpts.StopProbe = [&Stack] { return Stack.exhausted(); };
       POpts.StopOwner = Gov;
-      if (Backend *Ref = Stack.reference()) {
-        // Pin the reference checker beside the governor so its
-        // post-breach drop lands on the exact event the sequential
-        // loop drops it at.
-        POpts.Colocate.push_back({Gov, Ref});
-        POpts.KeepDelivering = [&Stack](Backend *B) {
-          return Stack.keepDelivering(B);
-        };
-      }
     }
     if (const char *Spec = std::getenv("VELO_PIPELINE_STALL"))
       if (!parsePipelineStall(Spec, POpts.Stall))
@@ -850,7 +829,6 @@ int runAnalysis(Options O) {
   // whole file, which would otherwise stay resident and raise peak RSS.
   Src.reset();
   std::fputs(San.repairs().note().c_str(), stderr);
-  std::fputs(HeldNotes.c_str(), stderr);
   std::fputs(Stack.governorNote().c_str(), stderr);
 
   // Everything below flows through the report manager; the text renderer

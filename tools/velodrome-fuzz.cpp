@@ -580,13 +580,16 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
   }
 
   // 5. No back-end crashes on the repaired trace; verdict checkers agree.
-  // The roster is the stack's `all` selection, ungoverned.
+  // The roster is the stack's `all` selection plus the Figure 2 reference
+  // checker, ungoverned.
   auto ReplayAll = [Pool](const Trace &T, const std::vector<Backend *> &Bs) {
     Pool ? Pool->replayAll(T, Bs) : replayAll(T, Bs);
   };
+  const std::vector<std::string> Roster = {"velodrome", "basic",  "aero",
+                                           "atomizer",  "eraser", "hb"};
   std::string StackErr;
   AnalysisStack All;
-  All.build("all", StackOptions(), StackErr);
+  All.build(Roster, StackOptions(), StackErr);
   ReplayAll(Repaired, All.delivery());
   const bool VeloSaw = All.backend("velodrome")->sawViolation();
   const bool BasicSaw = All.backend("basic")->sawViolation();
@@ -634,7 +637,7 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
     if (!snapshotRoundTrips(Repaired, Name, Stats, WhyOut))
       return false;
 
-  // 8. Static reduction invariance across the `all` roster (against the
+  // 8. Static reduction invariance across the check-5 roster (against the
   // check-5 instances), plus idempotence of the reduction itself.
   {
     ReductionPlan Plan = planTrace(Repaired, PassMask::all());
@@ -643,7 +646,7 @@ bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
     Stats.ReducedDropped += RStats.droppedTotal();
 
     AnalysisStack OnReduced;
-    OnReduced.build("all", StackOptions(), StackErr);
+    OnReduced.build(Roster, StackOptions(), StackErr);
     ReplayAll(Reduced, OnReduced.delivery());
 
     for (size_t I = 0; I < All.reporting().size(); ++I) {
