@@ -5,11 +5,16 @@
 // VELOTRC binary traces through identical code paths. TextTraceSource
 // wraps TraceStream; BinaryTraceReader (events/BinaryReader.h) implements
 // the same interface over an mmap'd VELOTRC file. openTraceSource sniffs
-// the magic and returns whichever matches.
+// the magic and returns whichever matches. A text file is read in fixed
+// blocks and never mapped, so its resident cost is one block whatever the
+// file's size.
 //
 // Error contract: error() is always "line N: message", exactly like
 // TraceStream; pathError renders it as "<path>:N: message". For a binary
-// source, N is the 1-based event ordinal (binary frames have no lines).
+// source, N is the 1-based event ordinal (binary frames have no lines). A
+// read that fails mid-file (EIO, or a directory opened as a trace) ends a
+// text source like a malformed line would, with "line N: read error:
+// <strerror>" and readFailed() set, so every tool reports it the same way.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +40,13 @@ public:
   /// first malformed record (distinguish via failed()).
   virtual bool next(Event &Out) = 0;
 
-  /// Did the stream stop on malformed input (rather than clean EOF)?
+  /// Did the stream stop on malformed input or a failed read (rather than
+  /// clean EOF)?
   virtual bool failed() const = 0;
+
+  /// True when the failure was a read error (error() then names strerror).
+  /// A binary source maps its whole file at open, so it never fails here.
+  virtual bool readFailed() const { return false; }
 
   /// "line N: message"; empty unless failed().
   virtual const std::string &error() const = 0;
@@ -49,9 +59,9 @@ public:
   virtual uint64_t eventCount() const = 0;
 
   /// If the source currently sits on a position a checkpoint can resume
-  /// from, set PosOut to it and return true. Text: any line boundary
-  /// (stream tellg). Binary: only frame boundaries — callers defer the
-  /// checkpoint until the frame ends.
+  /// from, set PosOut to it and return true. Text: any line boundary but
+  /// end of input (TraceStream::tell). Binary: only frame boundaries —
+  /// callers defer the checkpoint until the frame ends.
   virtual bool tell(uint64_t &PosOut) = 0;
 
   /// True when the source just finished a storage frame — a natural batch
@@ -71,34 +81,26 @@ public:
 };
 
 /// Text-format source: a thin TraceSource adapter over TraceStream. Can
-/// borrow a caller-owned stream (tests, stdin) or own a file stream.
+/// borrow a caller-owned stream (tests) or own a file stream. Positions
+/// come from TraceStream's own byte count, so tell() costs no seek.
 class TextTraceSource : public TraceSource {
 public:
   /// Borrow In; the caller keeps it alive for the source's lifetime.
-  TextTraceSource(std::istream &In, SymbolTable &Syms)
-      : In(&In), TS(In, Syms) {}
+  TextTraceSource(std::istream &In, SymbolTable &Syms) : TS(In, Syms) {}
 
   /// Own a file stream. Check ok() before use.
   TextTraceSource(const std::string &Path, SymbolTable &Syms)
-      : Owned(std::make_unique<std::ifstream>(Path)), In(Owned.get()),
-        TS(*Owned, Syms) {}
+      : Owned(std::make_unique<std::ifstream>(Path)), TS(*Owned, Syms) {}
 
   bool ok() const { return !Owned || static_cast<bool>(*Owned); }
 
   bool next(Event &Out) override { return TS.next(Out); }
   bool failed() const override { return TS.failed(); }
+  bool readFailed() const override { return TS.readFailed(); }
   const std::string &error() const override { return TS.error(); }
   uint64_t lineNo() const override { return TS.lineNo(); }
   uint64_t eventCount() const override { return TS.eventCount(); }
-
-  bool tell(uint64_t &PosOut) override {
-    auto Off = In->tellg();
-    if (Off == std::istream::pos_type(-1))
-      return false;
-    PosOut = static_cast<uint64_t>(Off);
-    return true;
-  }
-
+  bool tell(uint64_t &PosOut) override { return TS.tell(PosOut); }
   bool endOfFrame() const override { return false; }
 
   void resumeCounters(uint64_t Line, uint64_t Events) override {
@@ -107,9 +109,7 @@ public:
 
   bool seekTo(uint64_t Pos, uint64_t Line, uint64_t Events,
               std::string &ErrorOut) override {
-    In->clear();
-    In->seekg(static_cast<std::istream::off_type>(Pos));
-    if (!*In) {
+    if (!TS.seek(Pos)) {
       ErrorOut = "cannot seek to checkpoint offset " + std::to_string(Pos);
       return false;
     }
@@ -117,12 +117,8 @@ public:
     return true;
   }
 
-  /// The wrapped stream (readTraceFileStatus reads I/O state off it).
-  std::istream &stream() { return *In; }
-
 private:
   std::unique_ptr<std::ifstream> Owned; ///< null when borrowing
-  std::istream *In;
   TraceStream TS;
 };
 

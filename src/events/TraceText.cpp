@@ -6,10 +6,8 @@
 #include "events/BinaryWriter.h"
 #include "events/TraceSource.h"
 
-#include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 namespace velo {
 
@@ -114,8 +112,7 @@ std::string printTrace(const Trace &T) {
 }
 
 bool parseTrace(const std::string &Text, Trace &Out, std::string &ErrorOut) {
-  std::istringstream In(Text);
-  TraceStream TS(In, Out.symbols());
+  TraceStream TS(std::string_view(Text), Out.symbols());
   Event E;
   while (TS.next(E))
     Out.push(E);
@@ -167,14 +164,8 @@ TraceReadStatus readTraceFileStatus(const std::string &Path, Trace &Out,
     Out.push(E);
   if (Src->failed()) {
     ErrorOut = pathError(Path, Src->error());
-    return TraceReadStatus::ParseError;
-  }
-  auto *Text = dynamic_cast<TextTraceSource *>(Src.get());
-  if (Text && Text->stream().bad()) {
-    int Err = errno;
-    ErrorOut = "read error on " + Path + ": " +
-               (Err != 0 ? std::strerror(Err) : "stream error");
-    return TraceReadStatus::IoError;
+    return Src->readFailed() ? TraceReadStatus::IoError
+                             : TraceReadStatus::ParseError;
   }
   return TraceReadStatus::Ok;
 }

@@ -76,8 +76,9 @@ enum class TraceReadStatus {
 
 /// Read a whole trace file of either encoding: a drain of
 /// openTraceSource. On failure, ErrorOut carries the failing path and
-/// strerror(errno) for I/O problems, or "<path>:N: message" for parse
-/// problems.
+/// strerror(errno) when the file cannot be opened, "<path>:N: read error:
+/// <strerror>" (IoError) when a read fails, or "<path>:N: message" for
+/// parse problems.
 TraceReadStatus readTraceFileStatus(const std::string &Path, Trace &Out,
                                     std::string &ErrorOut);
 

@@ -173,10 +173,10 @@ void ParallelPipeline::readerMain() {
         Src.eventCount() >= NextCkpt && !B->Events.empty()) {
       // The batch's last record is fully parsed, so the source position
       // is a clean resume boundary when tell() succeeds. Text: any line
-      // boundary, but tellg() fails at EOF on a file without a trailing
-      // newline (the run is about to finish anyway). Binary: only frame
-      // boundaries; mid-frame boundaries simply defer the cut to the
-      // frame's end.
+      // boundary, but tell() fails at end of input, e.g. after a last line
+      // without a newline (the run is about to finish anyway). Binary:
+      // only frame boundaries; mid-frame boundaries simply defer the cut
+      // to the frame's end.
       uint64_t Off = 0;
       if (Src.tell(Off)) {
         auto T = std::make_shared<CheckpointTicket>();
@@ -203,7 +203,7 @@ void ParallelPipeline::readerMain() {
     // A checkpoint boundary ends the batch early: cuts can only land on
     // batch boundaries, so the cadence must not be quantized up to
     // BatchEvents (a batch larger than the whole trace would otherwise
-    // push the only cut to EOF, where tellg() no longer works). It only
+    // push the only cut to EOF, where tell() no longer works). It only
     // fires where the source can actually checkpoint (tell succeeds), so
     // a binary trace is not shredded into one-event batches between a
     // due checkpoint and the frame boundary that can host it. A frame

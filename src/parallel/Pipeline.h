@@ -71,7 +71,7 @@ bool parsePipelineStall(const char *Spec, PipelineStall &Out);
 /// its fprintf (e.g. "line 3: bad thread id" for Parse).
 enum class PipelineError {
   None,       ///< clean end of stream (or governor stop)
-  Parse,      ///< malformed line; Detail = TraceStream::error()
+  Parse,      ///< malformed line or failed read; Detail = Src.error()
   Sanitize,   ///< strict-mode rejection; Detail = TraceSanitizer::error()
   Checkpoint, ///< checkpoint sink failed; Detail = sink's error
 };

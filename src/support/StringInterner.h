@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -24,7 +25,7 @@ class StringInterner {
 public:
   /// Intern Name, returning its id (allocating a new id on first sight).
   uint32_t intern(std::string_view Name) {
-    auto It = IdByName.find(std::string(Name));
+    auto It = IdByName.find(Name);
     if (It != IdByName.end())
       return It->second;
     uint32_t Id = static_cast<uint32_t>(Names.size());
@@ -35,7 +36,7 @@ public:
 
   /// Look up a name without interning. Returns false if absent.
   bool lookup(std::string_view Name, uint32_t &IdOut) const {
-    auto It = IdByName.find(std::string(Name));
+    auto It = IdByName.find(Name);
     if (It == IdByName.end())
       return false;
     IdOut = It->second;
@@ -69,8 +70,19 @@ public:
   }
 
 private:
+  /// Hashes std::string keys and string_view probes alike, so a lookup of
+  /// a name already interned allocates nothing (C++20 heterogeneous
+  /// lookup; std::equal_to<> is the matching transparent comparison).
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>{}(S);
+    }
+  };
+
   std::vector<std::string> Names;
-  std::unordered_map<std::string, uint32_t> IdByName;
+  std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>>
+      IdByName;
 };
 
 } // namespace velo

@@ -180,6 +180,12 @@ struct GenParam {
   unsigned GuardedPct;
 };
 
+// A stable test name ("seed3_threads8_guarded50"), not the struct's bytes.
+void PrintTo(const GenParam &P, std::ostream *OS) {
+  *OS << "seed" << P.Seed << "_threads" << P.Threads
+      << (P.ForkJoin ? "_forkjoin" : "") << "_guarded" << P.GuardedPct;
+}
+
 class TraceGenTest : public ::testing::TestWithParam<GenParam> {};
 
 TEST_P(TraceGenTest, GeneratedTracesAreWellFormed) {

@@ -9,13 +9,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "events/TraceGen.h"
+#include "events/TraceSource.h"
 #include "events/TraceStream.h"
 #include "events/TraceText.h"
+#include "support/ShortReadBuf.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -255,6 +259,316 @@ TEST(ReadTraceFileTest, WellFormedFileRoundTrips) {
       << Error;
   EXPECT_EQ(printTrace(Out), printTrace(T));
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// The block reader: lines cut by block boundaries, long lines, offsets.
+//===----------------------------------------------------------------------===//
+
+constexpr size_t Block = TraceStream::BlockSize;
+
+/// What one reader made of a text: events with their line numbers, the
+/// names behind every table, tell() after each event, and the outcome.
+struct Reading {
+  std::vector<Event> Events;
+  std::vector<size_t> Lines;
+  std::vector<uint64_t> Offsets; ///< UINT64_MAX where tell() failed
+  std::vector<std::string> Names;
+  bool Failed = false;
+  std::string Error;
+  bool TellAtEnd = false;
+
+  bool operator==(const Reading &O) const {
+    return Events == O.Events && Lines == O.Lines && Offsets == O.Offsets &&
+           Names == O.Names && Failed == O.Failed && Error == O.Error &&
+           TellAtEnd == O.TellAtEnd;
+  }
+};
+
+std::vector<std::string> allNames(const SymbolTable &Syms) {
+  std::vector<std::string> Out;
+  for (const StringInterner *T : {&Syms.Vars, &Syms.Locks, &Syms.Labels}) {
+    for (uint32_t I = 0; I < T->size(); ++I)
+      Out.push_back(T->name(I));
+    Out.push_back("--");
+  }
+  return Out;
+}
+
+template <typename Reader>
+Reading readAll(Reader &R, const SymbolTable &Syms) {
+  Reading Out;
+  Event E;
+  uint64_t Pos = 0;
+  while (R.next(E)) {
+    Out.Events.push_back(E);
+    Out.Lines.push_back(R.lineNo());
+    Out.Offsets.push_back(R.tell(Pos) ? Pos : UINT64_MAX);
+  }
+  Out.Failed = R.failed();
+  Out.Error = R.error();
+  Out.TellAtEnd = R.tell(Pos);
+  Out.Names = allNames(Syms);
+  return Out;
+}
+
+/// Text read through a borrowed istringstream with Block-sized reads.
+Reading readStream(const std::string &Text, size_t BlockBytes = Block) {
+  std::istringstream In(Text);
+  SymbolTable Syms;
+  TraceStream TS(In, Syms, BlockBytes);
+  return readAll(TS, Syms);
+}
+
+/// The same text tokenized in place (the parseTrace path).
+Reading readInPlace(const std::string &Text) {
+  SymbolTable Syms;
+  TraceStream TS(std::string_view(Text), Syms);
+  return readAll(TS, Syms);
+}
+
+/// Byte offset after each line of Text that holds an event, summed
+/// independently of the reader (every line below is an event line).
+std::vector<uint64_t> lineEnds(const std::string &Text) {
+  std::vector<uint64_t> Out;
+  for (size_t I = 0; I < Text.size(); ++I)
+    if (Text[I] == '\n')
+      Out.push_back(I + 1);
+  return Out;
+}
+
+/// Filler event lines totalling exactly Bytes bytes ("T0 wr f\n" padded
+/// with a comment to land on the byte).
+std::string filler(size_t Bytes) {
+  std::string Out;
+  while (Bytes - Out.size() >= 8 + 10)
+    Out += "T0 wr f\n";
+  // One last line of exactly the bytes left: an event with a comment, or
+  // a blank line when too short for one.
+  size_t Left = Bytes - Out.size();
+  if (Left >= 10)
+    Out += "T0 wr f #" + std::string(Left - 10, 'p') + "\n";
+  else if (Left > 0)
+    Out += std::string(Left - 1, ' ') + "\n";
+  return Out;
+}
+
+TEST(BlockReaderTest, LineStraddlingTheBlockEndAtEveryOffset) {
+  for (int D = -3; D <= 3; ++D) {
+    // The newline of "T1 rd straddle" lands at byte Block + D.
+    const std::string Line = "T1 rd straddle\n";
+    std::string Text = filler(Block + D + 1 - Line.size()) + Line +
+                       "T0 acq m\nT0 rel m\n";
+    ASSERT_EQ(Text.find("straddle\n") + 8, Block + D);
+    Reading Got = readStream(Text);
+    EXPECT_FALSE(Got.Failed) << Got.Error;
+    EXPECT_EQ(Got, readInPlace(Text)) << "offset " << D;
+    Trace Batch;
+    std::string Error;
+    ASSERT_TRUE(parseTrace(Text, Batch, Error)) << Error;
+    EXPECT_EQ(Got.Events, std::vector<Event>(Batch.begin(), Batch.end()))
+        << "offset " << D;
+    EXPECT_EQ(Got.Names, allNames(Batch.symbols())) << "offset " << D;
+  }
+}
+
+TEST(BlockReaderTest, LinesLongerThanTwoBlocks) {
+  // A comment and an escaped name, each longer than two blocks, both in
+  // the middle of the file and as its unterminated last line.
+  std::string LongComment = "T0 wr a #" + std::string(2 * Block + 17, 'c');
+  std::string RawName;
+  for (size_t I = 0; RawName.size() < 2 * Block + 5; ++I)
+    RawName += I % 9 == 0 ? ' ' : static_cast<char>('a' + I % 26);
+  std::string LongName = "T0 wr " + escapeSymbol(RawName);
+  for (const std::string &Text :
+       {"T0 rd x\n" + LongComment + "\n" + LongName + "\nT0 rd x\n",
+        "T0 rd x\n" + LongName + "\n" + LongComment,
+        "T0 rd x\n" + LongComment + "\n" + LongName}) {
+    Reading Got = readStream(Text);
+    ASSERT_FALSE(Got.Failed) << Got.Error;
+    EXPECT_EQ(Got, readInPlace(Text));
+    ASSERT_GE(Got.Events.size(), 3u);
+    EXPECT_EQ(std::count(Got.Names.begin(), Got.Names.end(), RawName), 1);
+  }
+}
+
+TEST(BlockReaderTest, CarriageReturnEndsOneBlockAndNewlineStartsTheNext) {
+  const std::string Line = "T2 wr crlf\r\n";
+  std::string Text = filler(Block - Line.size() + 1) + Line + "T2 rd crlf\r\n";
+  ASSERT_EQ(Text[Block - 1], '\r');
+  ASSERT_EQ(Text[Block], '\n');
+  Reading Got = readStream(Text);
+  ASSERT_FALSE(Got.Failed) << Got.Error;
+  EXPECT_EQ(Got, readInPlace(Text));
+  EXPECT_EQ(std::count(Got.Names.begin(), Got.Names.end(), "crlf"), 1)
+      << "the \\r never reaches the name";
+}
+
+TEST(BlockReaderTest, LastLineWithoutNewlineParsesAndTellFailsAfterIt) {
+  for (const std::string &Text :
+       {std::string("T0 wr x\nT0 rd x"), filler(Block - 3) + "T0 rd x"}) {
+    Reading Got = readStream(Text);
+    ASSERT_FALSE(Got.Failed) << Got.Error;
+    EXPECT_EQ(Got, readInPlace(Text));
+    ASSERT_GE(Got.Events.size(), 2u);
+    EXPECT_EQ(Got.Events.back().Kind, Op::Read);
+    EXPECT_EQ(Got.Offsets.back(), UINT64_MAX) << "tell() at EOF fails";
+    EXPECT_EQ(Got.Offsets[Got.Offsets.size() - 2],
+              Text.rfind('\n') + 1);
+    EXPECT_FALSE(Got.TellAtEnd);
+  }
+  // With the newline, tell() works after the last event and fails once
+  // next() has looked past it.
+  Reading Terminated = readStream("T0 wr x\nT0 rd x\n");
+  EXPECT_EQ(Terminated.Offsets, (std::vector<uint64_t>{8, 16}));
+  EXPECT_FALSE(Terminated.TellAtEnd);
+}
+
+TEST(BlockReaderTest, EmptyAndCommentOnlyInput) {
+  for (const std::string &Text :
+       {std::string(), std::string("# only a comment\n"),
+        std::string("# no newline"), std::string("\n\n  \n# c\r\n")}) {
+    Reading Got = readStream(Text);
+    EXPECT_FALSE(Got.Failed) << Got.Error;
+    EXPECT_TRUE(Got.Events.empty());
+    EXPECT_FALSE(Got.TellAtEnd);
+    EXPECT_EQ(Got, readInPlace(Text));
+  }
+}
+
+TEST(BlockReaderTest, TellMatchesSummedLineBytesForStreamsAndFiles) {
+  TraceGenOptions Opts;
+  Opts.Threads = 4;
+  Opts.Steps = 40000; // several blocks
+  std::string Text = printTrace(generateRandomTrace(11, Opts));
+  ASSERT_GT(Text.size(), 3 * Block);
+  const std::vector<uint64_t> Want = lineEnds(Text);
+
+  std::istringstream In(Text);
+  SymbolTable Syms;
+  TextTraceSource Borrowed(In, Syms);
+  Reading FromStream = readAll(Borrowed, Syms);
+  EXPECT_EQ(FromStream.Offsets, Want);
+
+  std::string Path = ::testing::TempDir() + "velo_block_tell.trace";
+  {
+    std::ofstream Out(Path, std::ios::binary);
+    Out << Text;
+  }
+  SymbolTable FileSyms;
+  TextTraceSource File(Path, FileSyms);
+  ASSERT_TRUE(File.ok());
+  Reading FromFile = readAll(File, FileSyms);
+  EXPECT_EQ(FromFile.Offsets, Want);
+  EXPECT_FALSE(FromFile.TellAtEnd);
+  std::remove(Path.c_str());
+}
+
+TEST(BlockReaderTest, SeekToTellResumesWithTheSameTail) {
+  TraceGenOptions Opts;
+  Opts.Threads = 3;
+  Opts.Steps = 9000;
+  std::string Text = "# header\n\n" +
+                     printTrace(generateRandomTrace(5, Opts));
+  std::string Path = ::testing::TempDir() + "velo_block_seek.trace";
+  {
+    std::ofstream Out(Path, std::ios::binary);
+    Out << Text;
+  }
+  SymbolTable Syms;
+  TextTraceSource Straight(Path, Syms);
+  Reading All = readAll(Straight, Syms);
+  ASSERT_FALSE(All.Failed) << All.Error;
+  for (size_t Cut : {size_t(0), size_t(1), All.Events.size() / 3,
+                     All.Events.size() - 1}) {
+    // Read Cut events, remember tell(), and resume a fresh source there.
+    SymbolTable HeadSyms;
+    TextTraceSource Head(Path, HeadSyms);
+    Event E;
+    for (size_t I = 0; I < Cut; ++I)
+      ASSERT_TRUE(Head.next(E));
+    uint64_t Pos = 0;
+    ASSERT_TRUE(Head.tell(Pos));
+    SymbolTable TailSyms = HeadSyms;
+    TextTraceSource Tail(Path, TailSyms);
+    std::string Err;
+    ASSERT_TRUE(Tail.seekTo(Pos, Head.lineNo(), Cut, Err)) << Err;
+    Reading Rest = readAll(Tail, TailSyms);
+    ASSERT_FALSE(Rest.Failed) << Rest.Error;
+    EXPECT_EQ(Rest.Events,
+              std::vector<Event>(All.Events.begin() + Cut, All.Events.end()))
+        << "cut " << Cut;
+    EXPECT_EQ(Rest.Lines,
+              std::vector<size_t>(All.Lines.begin() + Cut, All.Lines.end()))
+        << "cut " << Cut;
+    EXPECT_EQ(Rest.Offsets, std::vector<uint64_t>(All.Offsets.begin() + Cut,
+                                                  All.Offsets.end()))
+        << "cut " << Cut;
+    EXPECT_EQ(Tail.eventCount(), All.Events.size());
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(BlockReaderTest, ShortReadsYieldIdenticalEventsAndErrors) {
+  TraceGenOptions Opts;
+  Opts.Threads = 3;
+  Opts.Steps = 400;
+  std::string Good = printTrace(generateRandomTrace(3, Opts));
+  std::vector<std::string> Texts = {
+      Good,
+      Good + "T0 frobnicate x\n",
+      "T0 wr x\r\n#c\r\n\nT1 rd \\x20sp\r\nT0 rd y trailing\n",
+      Good.substr(0, Good.size() / 2) + "T0 wr a\x01z\n" + Good,
+      "T0 wr " + std::string(3 * 7 + 2, 'n') + "\nT1 rd \\e",
+  };
+  for (const std::string &Text : Texts) {
+    // A streambuf without positions fails every tell(), as tellg() does on
+    // it; everything else must match the in-place parse.
+    Reading Want = readInPlace(Text);
+    Want.Offsets.assign(Want.Offsets.size(), UINT64_MAX);
+    Want.TellAtEnd = false;
+    for (size_t BlockBytes : {size_t(1), size_t(7), size_t(64), Block})
+      for (size_t First = 0; First < 7; ++First) {
+        ShortReadBuf Buf(Text, {1, 2, 3, 4, 5, 6, 7}, First);
+        std::istream In(&Buf);
+        SymbolTable Syms;
+        TraceStream TS(In, Syms, BlockBytes);
+        Reading Got = readAll(TS, Syms);
+        EXPECT_EQ(Got, Want) << "block " << BlockBytes << " first " << First
+                             << " error '" << Got.Error << "' vs '"
+                             << Want.Error << "'";
+      }
+  }
+}
+
+TEST(BlockReaderTest, TinyBlocksMatchTheInPlaceParse) {
+  TraceGenOptions Opts;
+  Opts.Threads = 4;
+  Opts.Steps = 300;
+  std::string Text = printTrace(generateRandomTrace(9, Opts));
+  Reading Want = readInPlace(Text);
+  EXPECT_EQ(Want.Offsets, lineEnds(Text));
+  for (size_t BlockBytes = 1; BlockBytes <= 40; ++BlockBytes)
+    EXPECT_EQ(readStream(Text, BlockBytes), Want) << "block " << BlockBytes;
+}
+
+TEST(ReadTraceFileTest, DirectoryIsAReadErrorNamingStrerror) {
+  std::string Dir = ::testing::TempDir() + "velo_ingest_dir.trace";
+  std::filesystem::create_directories(Dir);
+  Trace Out;
+  std::string Error;
+  EXPECT_EQ(readTraceFileStatus(Dir, Out, Error), TraceReadStatus::IoError);
+  EXPECT_EQ(Error, Dir + ":1: read error: Is a directory");
+
+  SymbolTable Syms;
+  TextTraceSource Src(Dir, Syms);
+  Event E;
+  EXPECT_FALSE(Src.next(E));
+  EXPECT_TRUE(Src.failed());
+  EXPECT_TRUE(Src.readFailed());
+  uint64_t Pos = 0;
+  EXPECT_FALSE(Src.tell(Pos));
+  std::filesystem::remove(Dir);
 }
 
 } // namespace

@@ -251,6 +251,30 @@ TEST(CheckCliTest, SalvageRefusesTextInput) {
       << Out;
 }
 
+TEST(ToolsCliTest, DirectoryIsAReadErrorInEveryTool) {
+  // A directory opens like a file but fails its first read. Every tool
+  // must report that read with the path and strerror and exit 2, never
+  // take it for an empty (serializable, convertible) trace.
+  std::string Dir = ::testing::TempDir() + "/velo_cli_dir.trace";
+  std::filesystem::create_directories(Dir);
+  std::string Out = ::testing::TempDir() + "/velo_cli_dir_out";
+  const std::string Want = Dir + ":1: read error: Is a directory";
+  const std::string Check(VELO_CHECK_BIN), Convert(VELO_CONVERT_BIN);
+  for (const std::string &Cmd :
+       {Check + " " + Dir, Check + " --parallel " + Dir,
+        Check + " --reduce=all " + Dir, Check + " --witness " + Dir,
+        Convert + " --to=binary " + Dir + " " + Out + ".vtrc",
+        Convert + " --to=text " + Dir + " " + Out + ".trace",
+        std::string(VELO_ANALYZE_BIN) + " " + Dir}) {
+    std::string Got;
+    EXPECT_EQ(runCmdAll(Cmd, Got), 2) << Cmd << "\n" << Got;
+    EXPECT_NE(Got.find(Want), std::string::npos) << Cmd << "\n" << Got;
+  }
+  std::remove((Out + ".vtrc").c_str());
+  std::remove((Out + ".trace").c_str());
+  std::filesystem::remove(Dir);
+}
+
 TEST(CheckCliTest, GovernorDegradationKeepsTheVerdict) {
   // A 1-node cap forces immediate degradation from the graph checker to
   // the vector-clock fallback; the verdict must be unchanged.

@@ -783,10 +783,11 @@ int runAnalysis(Options O) {
           if (!O.CheckpointFile.empty() && Stack.eventsSeen() >= NextCkpt) {
             // The record just processed is fully delivered, so the source
             // position is a clean resume boundary when tell() succeeds.
-            // Text: tellg() only fails at EOF on a file without a trailing
-            // newline (the run is about to finish anyway). Binary: tell()
-            // fails mid-frame, deferring the snapshot to the frame's end —
-            // so the cadence reset stays inside the success branch.
+            // Text: tell() only fails at end of input, e.g. after a last
+            // line without a newline (the run is about to finish anyway).
+            // Binary: tell() fails mid-frame, deferring the snapshot to the
+            // frame's end — so the cadence reset stays inside the success
+            // branch.
             uint64_t Off = 0;
             if (Src->tell(Off)) {
               std::string Error;

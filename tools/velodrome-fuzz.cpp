@@ -5,6 +5,8 @@
 // well-formed trace) and checks, on the mutant:
 //
 //   1. the parser never crashes, and rejects with a "line N:" diagnostic;
+//      the streaming reader, fed the same bytes through short reads into
+//      small blocks, yields the same events, symbol tables and diagnostic;
 //   2. parser round-trip stability: parse -> print -> parse is identity;
 //   3. strict sanitization accepts exactly the traces Trace::validate
 //      accepts;
@@ -55,6 +57,7 @@
 #include "events/BinaryWriter.h"
 #include "events/TraceGen.h"
 #include "events/TraceSanitizer.h"
+#include "events/TraceStream.h"
 #include "events/TraceText.h"
 #include "parallel/Fanout.h"
 #include "report/Report.h"
@@ -72,6 +75,7 @@
 #include <vector>
 
 #include "support/Parse.h"
+#include "support/ShortReadBuf.h"
 #include "support/Syscalls.h"
 
 using namespace velo;
@@ -211,6 +215,43 @@ bool sameEvents(const Trace &A, const Trace &B) {
   for (size_t I = 0; I < A.size(); ++I)
     if (!(A[I] == B[I]))
       return false;
+  return true;
+}
+
+bool sameNames(const StringInterner &A, const StringInterner &B) {
+  if (A.size() != B.size())
+    return false;
+  for (uint32_t I = 0; I < A.size(); ++I)
+    if (A.name(I) != B.name(I))
+      return false;
+  return true;
+}
+
+/// Check 1 helper: TraceStream over a streambuf that returns 1-7 bytes a
+/// read, into blocks of 1-64 bytes, must make of Text exactly what
+/// parseTrace made of the string (Parsed, and Error when it rejected).
+/// The read pattern and block size come from the text's length, not from
+/// the mutation RNG, so the mutant sequence does not depend on this check.
+bool streamMatchesParse(const std::string &Text, const Trace &Parsed,
+                        const std::string &Error, std::string &WhyOut) {
+  ShortReadBuf Buf(Text, {1, 2, 3, 4, 5, 6, 7}, Text.size() % 7);
+  std::istream In(&Buf);
+  Trace Streamed;
+  TraceStream TS(In, Streamed.symbols(), 1 + Text.size() % 64);
+  Event E;
+  while (TS.next(E))
+    Streamed.push(E);
+  if (TS.error() != Error) {
+    WhyOut = "streaming reader diagnostic '" + TS.error() +
+             "' differs from parseTrace's '" + Error + "'";
+    return false;
+  }
+  const SymbolTable &A = Streamed.symbols(), &B = Parsed.symbols();
+  if (!sameEvents(Streamed, Parsed) || !sameNames(A.Vars, B.Vars) ||
+      !sameNames(A.Locks, B.Locks) || !sameNames(A.Labels, B.Labels)) {
+    WhyOut = "streaming reader and parseTrace disagree on events or names";
+    return false;
+  }
   return true;
 }
 
@@ -508,10 +549,14 @@ bool snapshotRoundTrips(const Trace &T, const std::string &Name,
 /// replayAll (parallel/Fanout.h).
 bool checkMutant(const std::string &Text, BackendFanout *Pool, Rng &R,
                  FuzzStats &Stats, std::string &WhyOut) {
-  // 1. Parser must reject cleanly or accept.
+  // 1. Parser must reject cleanly or accept, and the streaming reader
+  // must agree with it.
   Trace Raw;
   std::string Error;
-  if (!parseTrace(Text, Raw, Error)) {
+  bool Parsed = parseTrace(Text, Raw, Error);
+  if (!streamMatchesParse(Text, Raw, Parsed ? std::string() : Error, WhyOut))
+    return false;
+  if (!Parsed) {
     if (Error.rfind("line ", 0) != 0) {
       WhyOut = "parse error lacks a line diagnostic: '" + Error + "'";
       return false;
