@@ -8,6 +8,8 @@
 //  * file format hardening (atomic write, corruption and version checks);
 //  * for every golden trace and every back-end, snapshot -> restore at
 //    EVERY event boundary converges to byte-identical final state;
+//  * the bytes each back-end and the sanitizer write, pinned in
+//    tests/data/snapshots/, and the pinned blobs still restore;
 //  * graph slot exhaustion degrades (bottom steps, graphFull) instead of
 //    aborting, and surfaces through the governor's fail probe;
 //  * sanitizer/governor snapshot guards (mode and configuration mismatch).
@@ -29,7 +31,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -262,6 +266,129 @@ TEST(SnapshotBoundaryTest, EveryBackendEveryGoldenTraceEveryBoundary) {
     expectEveryBoundaryRoundTrip<Atomizer>(T, "Atomizer", Path);
     expectEveryBoundaryRoundTrip<Eraser>(T, "Eraser", Path);
     expectEveryBoundaryRoundTrip<HbRaceDetector>(T, "HB", Path);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Snapshot bytes pinned in tests/data/snapshots/
+//
+// The round trip above compares a run with itself, so it cannot see a
+// change in what a snapshot holds or in the order it is written. Parent
+// checkpoints and serve eviction blobs must still restore, so the bytes
+// themselves are pinned: each back-end and the sanitizer are serialized
+// half way through and at the end of three traces. Regenerate (only with a
+// SnapshotVersion bump) with:
+//   VELO_UPDATE_SNAPSHOT_GOLDEN=1 ./snapshot_test --gtest_filter='SnapshotPin*'
+//===----------------------------------------------------------------------===//
+
+/// Compare W's bytes with the committed blob Name (or, under
+/// VELO_UPDATE_SNAPSHOT_GOLDEN, rewrite it). Returns the committed bytes.
+std::string expectPinnedBlob(const std::string &Name, const SnapshotWriter &W) {
+  std::string File =
+      std::string(VELO_TEST_DATA_DIR) + "/snapshots/" + Name + ".bin";
+  if (std::getenv("VELO_UPDATE_SNAPSHOT_GOLDEN"))
+    std::ofstream(File, std::ios::binary) << W.payload();
+  std::ifstream In(File, std::ios::binary);
+  EXPECT_TRUE(In.good()) << File << " is missing";
+  std::string Pinned((std::istreambuf_iterator<char>(In)), {});
+  EXPECT_TRUE(W.payload() == Pinned) << Name << ": snapshot bytes moved";
+  return Pinned;
+}
+
+/// Pin B's state before Events[Mid] and after the last event, and check
+/// that the committed mid blob restores and replays to the committed end.
+template <typename BackendT>
+void expectPinnedBackend(const std::string &Stem, const char *Name,
+                         const Trace &T, size_t Mid,
+                         const std::vector<Event> &Events) {
+  std::string Prefix = Stem + "." + Name;
+  BackendT B;
+  B.beginAnalysis(T.symbols());
+  std::string MidBlob;
+  for (size_t I = 0; I < Events.size(); ++I) {
+    if (I == Mid) {
+      SnapshotWriter W;
+      B.serialize(W);
+      MidBlob = expectPinnedBlob(Prefix + ".mid", W);
+    }
+    B.onEvent(Events[I]);
+  }
+  B.endAnalysis();
+  SnapshotWriter W;
+  B.serialize(W);
+  std::string EndBlob = expectPinnedBlob(Prefix + ".end", W);
+
+  BackendT Resumed;
+  Resumed.beginAnalysis(T.symbols());
+  SnapshotReader R(MidBlob);
+  ASSERT_TRUE(Resumed.deserialize(R)) << Prefix << ".mid does not restore";
+  for (size_t I = Mid; I < Events.size(); ++I)
+    Resumed.onEvent(Events[I]);
+  Resumed.endAnalysis();
+  SnapshotWriter WResumed;
+  Resumed.serialize(WResumed);
+  EXPECT_TRUE(WResumed.payload() == EndBlob)
+      << Prefix << ".mid resumes to different end bytes";
+}
+
+TEST(SnapshotPinTest, BackendAndSanitizerBytesMatchTheCommittedBlobs) {
+  struct Pinned {
+    const char *Path; ///< relative to the data directory
+    SanitizeMode Mode;
+  };
+  const Pinned Traces[] = {
+      {"intro_cycle.trace", SanitizeMode::Strict},
+      {"snapshots/strict_mixed.trace", SanitizeMode::Strict},
+      {"snapshots/lenient_held.trace", SanitizeMode::Lenient},
+  };
+  for (const Pinned &P : Traces) {
+    std::string Path = std::string(VELO_TEST_DATA_DIR) + "/" + P.Path;
+    std::string Stem = std::filesystem::path(Path).stem().string();
+    Trace T;
+    std::string Error;
+    ASSERT_EQ(readTraceFileStatus(Path, T, Error), TraceReadStatus::Ok)
+        << Path << ": " << Error;
+
+    // The sanitizer is pinned after half the input and after all of it
+    // (before finish(), while blocks are open and locks held); the
+    // back-ends see its output, cut where the input was cut.
+    size_t Half = T.size() / 2;
+    TraceSanitizer S(P.Mode);
+    std::vector<Event> Events;
+    size_t MidEvent = 0;
+    std::string MidBlob;
+    for (size_t I = 0; I < T.size(); ++I) {
+      if (I == Half) {
+        MidEvent = Events.size();
+        SnapshotWriter W;
+        S.serialize(W);
+        MidBlob = expectPinnedBlob(Stem + ".Sanitizer.mid", W);
+      }
+      ASSERT_TRUE(S.push(T[I], Events)) << Path << ": " << S.error();
+    }
+    SnapshotWriter W;
+    S.serialize(W);
+    std::string EndBlob = expectPinnedBlob(Stem + ".Sanitizer.end", W);
+
+    TraceSanitizer Resumed(P.Mode);
+    SnapshotReader R(MidBlob);
+    ASSERT_TRUE(Resumed.deserialize(R)) << Stem << ".Sanitizer.mid";
+    std::vector<Event> Tail;
+    for (size_t I = Half; I < T.size(); ++I)
+      ASSERT_TRUE(Resumed.push(T[I], Tail)) << Path;
+    SnapshotWriter WResumed;
+    Resumed.serialize(WResumed);
+    EXPECT_TRUE(WResumed.payload() == EndBlob)
+        << Stem << ".Sanitizer.mid resumes to different end bytes";
+    EXPECT_TRUE(std::equal(Tail.begin(), Tail.end(), Events.begin() + MidEvent,
+                           Events.end()))
+        << Stem << ": the resumed sanitizer emits a different tail";
+
+    S.finish(Events);
+    expectPinnedBackend<Velodrome>(Stem, "Velodrome", T, MidEvent, Events);
+    expectPinnedBackend<AeroDrome>(Stem, "AeroDrome", T, MidEvent, Events);
+    expectPinnedBackend<HbRaceDetector>(Stem, "HB", T, MidEvent, Events);
+    expectPinnedBackend<Atomizer>(Stem, "Atomizer", T, MidEvent, Events);
   }
 }
 
