@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace velo {
@@ -40,8 +41,6 @@ void AeroDrome::beginAnalysis(const SymbolTable &Syms) {
   Saw = false;
   NumJoins = NumTxns = NumAllocs = 0;
 }
-
-AeroDrome::ThreadState &AeroDrome::state(Tid T) { return Threads[T]; }
 
 void AeroDrome::advance(ThreadState &TS, Tid T, const Event &E) {
   ++NumTxns;
@@ -125,7 +124,7 @@ void AeroDrome::joinFrom(ThreadState &TS, Tid T, const TxnClockRef &Ref,
   if (!Ref->Finished && Ref->Owner != T) {
     // Ref's transaction is still open: tell it that our transaction — and
     // everything already known to follow our transaction — succeeds it.
-    ThreadState &OS = state(Ref->Owner);
+    ThreadState &OS = Threads[Ref->Owner];
     OS.Succ.record(T, C);
     OS.Succ.recordAll(TS.Succ);
   }
@@ -168,7 +167,7 @@ void AeroDrome::reportViolation(ThreadState &TS, Tid T, Tid Witness,
 }
 
 void AeroDrome::onBegin(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   if (TS.Depth++ == 0) {
     advance(TS, E.Thread, E);
     TS.Outer = E.label();
@@ -176,7 +175,7 @@ void AeroDrome::onBegin(const Event &E) {
 }
 
 void AeroDrome::onEnd(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   if (TS.Depth > 0 && --TS.Depth == 0) {
     if (TS.Cur)
       TS.Cur->Finished = true;
@@ -185,17 +184,16 @@ void AeroDrome::onEnd(const Event &E) {
 }
 
 void AeroDrome::onAcquire(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   bool Unary = beginUnary(TS, E.Thread, E);
-  auto It = LastRelease.find(E.lock());
-  if (It != LastRelease.end())
-    joinFrom(TS, E.Thread, It->second, E);
+  if (const TxnClockRef *Last = LastRelease.find(E.lock()))
+    joinFrom(TS, E.Thread, *Last, E);
   if (Unary)
     TS.Cur->Finished = true;
 }
 
 void AeroDrome::onRelease(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   bool Unary = beginUnary(TS, E.Thread, E);
   LastRelease[E.lock()] = TS.Cur;
   if (Unary)
@@ -203,7 +201,7 @@ void AeroDrome::onRelease(const Event &E) {
 }
 
 void AeroDrome::onRead(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   bool Unary = beginUnary(TS, E.Thread, E);
   VarClocks &VC = Vars[E.var()];
   joinFrom(TS, E.Thread, VC.LastWrite, E);
@@ -215,7 +213,7 @@ void AeroDrome::onRead(const Event &E) {
 }
 
 void AeroDrome::onWrite(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   bool Unary = beginUnary(TS, E.Thread, E);
   VarClocks &VC = Vars[E.var()];
   joinFrom(TS, E.Thread, VC.LastWrite, E);
@@ -230,20 +228,20 @@ void AeroDrome::onWrite(const Event &E) {
 }
 
 void AeroDrome::onFork(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   bool Unary = beginUnary(TS, E.Thread, E);
   // The child's first transaction starts after the forking transaction;
   // resolve the dependency lazily at the child's first event so the child
   // observes the fork-point transaction's final clock.
-  state(E.child()).PendingParent = TS.Cur;
+  Threads[E.child()].PendingParent = TS.Cur;
   if (Unary)
     TS.Cur->Finished = true;
 }
 
 void AeroDrome::onJoin(const Event &E) {
-  ThreadState &Child = state(E.child());
+  ThreadState &Child = Threads[E.child()];
   TxnClockRef Last = Child.Cur ? Child.Cur : Child.PendingParent;
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   bool Unary = beginUnary(TS, E.Thread, E);
   joinFrom(TS, E.Thread, Last, E);
   if (Unary)
@@ -251,16 +249,6 @@ void AeroDrome::onJoin(const Event &E) {
 }
 
 namespace {
-
-template <typename MapT> std::vector<typename MapT::key_type>
-sortedKeys(const MapT &M) {
-  std::vector<typename MapT::key_type> Keys;
-  Keys.reserve(M.size());
-  for (const auto &KV : M)
-    Keys.push_back(KV.first);
-  std::sort(Keys.begin(), Keys.end());
-  return Keys;
-}
 
 void writeU64Vec(SnapshotWriter &W, const std::vector<uint64_t> &V) {
   W.u64(V.size());
@@ -302,23 +290,17 @@ void AeroDrome::serialize(SnapshotWriter &W) const {
   };
 
   // First pass: enumerate objects in a deterministic order (threads, then
-  // locks, then variables, each sorted by id).
-  std::vector<Tid> Tids = sortedKeys(Threads);
-  std::vector<LockId> LockIds = sortedKeys(LastRelease);
-  std::vector<VarId> VarIds = sortedKeys(Vars);
-  for (Tid T : Tids) {
-    const ThreadState &TS = Threads.at(T);
+  // locks, then variables, each in ascending id order).
+  Threads.forEach([&](Tid, const ThreadState &TS) {
     idOf(TS.Cur);
     idOf(TS.PendingParent);
-  }
-  for (LockId M : LockIds)
-    idOf(LastRelease.at(M));
-  for (VarId X : VarIds) {
-    const VarClocks &VC = Vars.at(X);
+  });
+  LastRelease.forEach([&](LockId, const TxnClockRef &Ref) { idOf(Ref); });
+  Vars.forEach([&](VarId, const VarClocks &VC) {
     idOf(VC.LastWrite);
     for (const TxnClockRef &Rd : VC.Readers)
       idOf(Rd);
-  }
+  });
 
   // Object table.
   W.u64(Objects.size());
@@ -330,30 +312,28 @@ void AeroDrome::serialize(SnapshotWriter &W) const {
   }
 
   // Reference structure.
-  W.u64(Tids.size());
-  for (Tid T : Tids) {
-    const ThreadState &TS = Threads.at(T);
+  W.u64(Threads.size());
+  Threads.forEach([&](Tid T, const ThreadState &TS) {
     W.u32(T);
     W.u64(idOf(TS.Cur));
     writeU64Vec(W, TS.Succ.raw());
     W.u64(idOf(TS.PendingParent));
     W.u32(TS.Outer);
     W.u64(static_cast<uint64_t>(TS.Depth));
-  }
-  W.u64(LockIds.size());
-  for (LockId M : LockIds) {
+  });
+  W.u64(LastRelease.size());
+  LastRelease.forEach([&](LockId M, const TxnClockRef &Ref) {
     W.u32(M);
-    W.u64(idOf(LastRelease.at(M)));
-  }
-  W.u64(VarIds.size());
-  for (VarId X : VarIds) {
-    const VarClocks &VC = Vars.at(X);
+    W.u64(idOf(Ref));
+  });
+  W.u64(Vars.size());
+  Vars.forEach([&](VarId X, const VarClocks &VC) {
     W.u32(X);
     W.u64(idOf(VC.LastWrite));
     W.u64(VC.Readers.size());
     for (const TxnClockRef &Rd : VC.Readers)
       W.u64(idOf(Rd));
-  }
+  });
 
   W.u64(Violations.size());
   for (const AeroViolation &V : Violations) {

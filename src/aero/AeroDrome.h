@@ -27,7 +27,6 @@
 #include "analysis/Backend.h"
 
 #include <set>
-#include <unordered_map>
 
 namespace velo {
 
@@ -83,8 +82,6 @@ private:
     int Depth = 0;         ///< atomic-block nesting depth
   };
 
-  ThreadState &state(Tid T);
-
   /// Start a fresh transaction (or unary singleton) for T: freeze the
   /// previous object, carry its clock forward (program order), tick T's
   /// component, reset the successor frontier, and fold in the fork-point
@@ -114,7 +111,7 @@ private:
   void onJoin(const Event &E);
 
   AeroDromeOptions Opts;
-  std::unordered_map<Tid, ThreadState> Threads;
+  IdTable<ThreadState> Threads;
   LockClockMap LastRelease;
   VarClockMap Vars;
   std::vector<AeroViolation> Violations;

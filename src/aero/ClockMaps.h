@@ -16,8 +16,8 @@
 #define VELO_AERO_CLOCKMAPS_H
 
 #include "aero/TxnClock.h"
+#include "support/IdTable.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace velo {
@@ -30,10 +30,10 @@ struct VarClocks {
 };
 
 /// LockId -> last-releasing transaction.
-using LockClockMap = std::unordered_map<LockId, TxnClockRef>;
+using LockClockMap = IdTable<TxnClockRef>;
 
 /// VarId -> read/write frontier.
-using VarClockMap = std::unordered_map<VarId, VarClocks>;
+using VarClockMap = IdTable<VarClocks>;
 
 } // namespace velo
 

@@ -29,10 +29,9 @@
 
 #include "analysis/Backend.h"
 #include "eraser/LockSetEngine.h"
+#include "support/IdTable.h"
 
 #include <set>
-#include <unordered_map>
-#include <vector>
 
 namespace velo {
 
@@ -66,7 +65,7 @@ private:
   void violate(ThreadState &TS, const Event &E, const char *Why);
 
   LockSetEngine Engine;
-  std::unordered_map<Tid, ThreadState> Threads;
+  IdTable<ThreadState> Threads;
   std::set<Label> Flagged;
   bool Suspicious = false;
 };

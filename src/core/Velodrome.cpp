@@ -15,13 +15,10 @@ void Velodrome::beginAnalysis(const SymbolTable &Syms) {
   Graph.clear();
   Threads.clear();
   LastUnlock.clear();
-  LastWrite.clear();
-  LastReads.clear();
+  Vars.clear();
   Violations.clear();
   ReportedMethods.clear();
 }
-
-Velodrome::ThreadState &Velodrome::state(Tid T) { return Threads[T]; }
 
 Step Velodrome::tickInside(ThreadState &TS) {
   assert(TS.InTxn && "tickInside outside a transaction");
@@ -108,7 +105,7 @@ void Velodrome::onEvent(const Event &E) {
 }
 
 void Velodrome::onBegin(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   if (!TS.InTxn) {
     // [INS2 ENTER]: fresh node; program-order edge from L(t).
     Step S = Graph.allocNode(E.Thread, E.label(), /*Active=*/true);
@@ -132,7 +129,7 @@ void Velodrome::onBegin(const Event &E) {
 }
 
 void Velodrome::onEnd(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   // Ill-formed input is the sanitizer's to reject; if an unmatched end
   // slips through anyway, tolerate it rather than corrupting the graph
   // (release builds compile the old assert out entirely).
@@ -148,7 +145,7 @@ void Velodrome::onEnd(const Event &E) {
 }
 
 void Velodrome::onAcquire(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   EdgeInfo Info{Op::Acquire, E.lock(), E.Thread};
   Step &U = LastUnlock[E.lock()];
   if (TS.InTxn) {
@@ -163,7 +160,7 @@ void Velodrome::onAcquire(const Event &E) {
 }
 
 void Velodrome::onRelease(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   EdgeInfo Info{Op::Release, E.lock(), E.Thread};
   if (TS.InTxn) {
     Step S = tickInside(TS);
@@ -187,10 +184,11 @@ void Velodrome::onRelease(const Event &E) {
 }
 
 void Velodrome::onRead(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   EdgeInfo Info{Op::Read, E.var(), E.Thread};
-  Step &W = LastWrite[E.var()];
-  std::vector<Step> &Reads = LastReads[E.var()];
+  VarState &V = Vars[E.var()];
+  Step &W = V.W;
+  std::vector<Step> &Reads = V.R;
   if (Reads.size() <= E.Thread)
     Reads.resize(E.Thread + 1);
 
@@ -209,10 +207,11 @@ void Velodrome::onRead(const Event &E) {
 }
 
 void Velodrome::onWrite(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   EdgeInfo Info{Op::Write, E.var(), E.Thread};
-  Step &W = LastWrite[E.var()];
-  std::vector<Step> &Reads = LastReads[E.var()];
+  VarState &V = Vars[E.var()];
+  Step &W = V.W;
+  std::vector<Step> &Reads = V.R;
 
   if (TS.InTxn) {
     // [INS2 INSIDE WRITE]: edges from the last write and all last reads.
@@ -234,7 +233,7 @@ void Velodrome::onWrite(const Event &E) {
 }
 
 void Velodrome::onFork(const Event &E) {
-  ThreadState &TS = state(E.Thread);
+  ThreadState &TS = Threads[E.Thread];
   // The fork is an operation of the parent; its step becomes the child's
   // initial L(u), so the child's first transaction is ordered after it.
   Step S;
@@ -253,12 +252,12 @@ void Velodrome::onFork(const Event &E) {
   // was already dead. Resolve before publishing so the child starts from a
   // live step (or bottom) instead of inheriting a dangling one and paying
   // the resolution on every later edge it draws.
-  state(E.child()).Last = Graph.resolve(S);
+  Threads[E.child()].Last = Graph.resolve(S);
 }
 
 void Velodrome::onJoin(const Event &E) {
-  ThreadState &TS = state(E.Thread);
-  ThreadState &Child = state(E.child());
+  ThreadState &TS = Threads[E.Thread];
+  ThreadState &Child = Threads[E.child()];
   EdgeInfo Info{Op::Join, E.child(), E.Thread};
   // Same staleness hazard as onFork: the child's final step may have been
   // collected already. Resolve it once here rather than relying on every
@@ -276,24 +275,6 @@ void Velodrome::onJoin(const Event &E) {
 
 void Velodrome::endAnalysis() {}
 
-namespace {
-
-/// Iterate an unordered map in sorted key order so snapshots are
-/// byte-stable across runs (the analysis itself never depends on map
-/// order; this is purely for reproducible checkpoint artifacts).
-template <typename MapT, typename Fn>
-void forEachSorted(const MapT &M, Fn Visit) {
-  std::vector<typename MapT::key_type> Keys;
-  Keys.reserve(M.size());
-  for (const auto &KV : M)
-    Keys.push_back(KV.first);
-  std::sort(Keys.begin(), Keys.end());
-  for (const auto &K : Keys)
-    Visit(K, M.at(K));
-}
-
-} // namespace
-
 void Velodrome::serialize(SnapshotWriter &W) const {
   serializeBase(W);
   W.boolean(Opts.UseMerge);
@@ -302,7 +283,7 @@ void Velodrome::serialize(SnapshotWriter &W) const {
   Graph.serialize(W);
 
   W.u64(Threads.size());
-  forEachSorted(Threads, [&](Tid T, const ThreadState &TS) {
+  Threads.forEach([&](Tid T, const ThreadState &TS) {
     W.u32(T);
     W.u64(TS.Stack.size());
     for (const BlockEntry &B : TS.Stack) {
@@ -315,20 +296,22 @@ void Velodrome::serialize(SnapshotWriter &W) const {
   });
 
   W.u64(LastUnlock.size());
-  forEachSorted(LastUnlock, [&](LockId M, const Step &S) {
+  LastUnlock.forEach([&](LockId M, const Step &S) {
     W.u32(M);
     W.u64(S.raw());
   });
-  W.u64(LastWrite.size());
-  forEachSorted(LastWrite, [&](VarId X, const Step &S) {
+  // Every access touches both W(x) and R(x, *), so the two lists, written
+  // separately as they always were, cover the same variables.
+  W.u64(Vars.size());
+  Vars.forEach([&](VarId X, const VarState &V) {
     W.u32(X);
-    W.u64(S.raw());
+    W.u64(V.W.raw());
   });
-  W.u64(LastReads.size());
-  forEachSorted(LastReads, [&](VarId X, const std::vector<Step> &Reads) {
+  W.u64(Vars.size());
+  Vars.forEach([&](VarId X, const VarState &V) {
     W.u32(X);
-    W.u64(Reads.size());
-    for (Step S : Reads)
+    W.u64(V.R.size());
+    for (Step S : V.R)
       W.u64(S.raw());
   });
 
@@ -380,13 +363,13 @@ bool Velodrome::deserialize(SnapshotReader &R) {
   uint64_t NumWrites = R.u64();
   for (uint64_t I = 0; I < NumWrites && !R.failed(); ++I) {
     VarId X = R.u32();
-    LastWrite[X] = Step::fromRaw(R.u64());
+    Vars[X].W = Step::fromRaw(R.u64());
   }
   uint64_t NumReadVars = R.u64();
   for (uint64_t I = 0; I < NumReadVars && !R.failed(); ++I) {
     VarId X = R.u32();
     uint64_t N = R.u64();
-    std::vector<Step> &Reads = LastReads[X];
+    std::vector<Step> &Reads = Vars[X].R;
     for (uint64_t J = 0; J < N && !R.failed(); ++J)
       Reads.push_back(Step::fromRaw(R.u64()));
   }

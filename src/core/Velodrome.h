@@ -34,9 +34,9 @@
 
 #include "analysis/Backend.h"
 #include "core/HbGraph.h"
+#include "support/IdTable.h"
 
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 namespace velo {
@@ -107,7 +107,12 @@ private:
     bool InTxn = false;
   };
 
-  ThreadState &state(Tid T);
+  /// W(x) and R(x, *): the last write, and the last read of each thread
+  /// since it (index = tid). One entry, so an access does one lookup.
+  struct VarState {
+    Step W;
+    std::vector<Step> R;
+  };
 
   /// Next stamp in the current transaction node of T (L(t)+1 inside).
   Step tickInside(ThreadState &TS);
@@ -143,10 +148,9 @@ private:
 
   VelodromeOptions Opts;
   HbGraph Graph;
-  std::unordered_map<Tid, ThreadState> Threads;
-  std::unordered_map<LockId, Step> LastUnlock;       ///< U
-  std::unordered_map<VarId, Step> LastWrite;         ///< W
-  std::unordered_map<VarId, std::vector<Step>> LastReads; ///< R (by tid)
+  IdTable<ThreadState> Threads;
+  IdTable<Step> LastUnlock; ///< U
+  IdTable<VarState> Vars;   ///< W and R
   std::vector<AtomicityViolation> Violations;
   std::set<Label> ReportedMethods;
   /// Scratch: predecessors of the current outside-transaction operation,

@@ -43,35 +43,17 @@ bool TraceSanitizer::reject(const std::string &Msg, size_t SourceLine) {
   return false;
 }
 
-void TraceSanitizer::emit(const Event &E, std::vector<Event> &Out) {
-  // The state machine advances only here: dropped events leave no trace, so
+void TraceSanitizer::emitSynthesized(const Event &E, std::vector<Event> &Out) {
+  // Only synthesized ends and releases come here; push() advances the same
+  // state for the events it keeps. Dropped events leave no trace, so
   // re-sanitizing the emitted stream reproduces the same decisions with
   // nothing left to repair (idempotence).
   ThreadState &TS = Threads[E.Thread];
   TS.Ran = true;
-  switch (E.Kind) {
-  case Op::Begin:
-    TS.Depth++;
-    break;
-  case Op::End:
+  if (E.Kind == Op::End)
     TS.Depth--;
-    break;
-  case Op::Acquire:
-    Locks[E.lock()] = {E.Thread, 1};
-    break;
-  case Op::Release:
+  else
     Locks.erase(E.lock());
-    break;
-  case Op::Fork:
-    Threads[E.child()].Forked = true;
-    break;
-  case Op::Join:
-    Threads[E.child()].Joined = true;
-    break;
-  case Op::Read:
-  case Op::Write:
-    break;
-  }
   Out.push_back(E);
 }
 
@@ -79,23 +61,23 @@ void TraceSanitizer::closeOpenBlocks(Tid T, ThreadState &TS,
                                      std::vector<Event> &Out) {
   while (TS.Depth > 0) {
     Repairs.UnclosedTxns++;
-    emit(Event::end(T), Out);
+    emitSynthesized(Event::end(T), Out);
   }
 }
 
 void TraceSanitizer::releaseHeldLocks(Tid T, std::vector<Event> &Out) {
-  // Snapshot and sort for a deterministic synthesis order (same reasoning
-  // as finish()). One release fully erases the lock even when re-entrant
-  // acquires were filtered at depth > 1: the emitted stream only ever saw
-  // the outermost acquire.
+  // Collect first (emitSynthesized erases), in ascending lock order for a
+  // deterministic synthesis order. One release fully erases the lock even
+  // when re-entrant acquires were filtered at depth > 1: the emitted stream
+  // only ever saw the outermost acquire.
   std::vector<LockId> Held;
-  for (const auto &[M, LS] : Locks)
+  Locks.forEach([&](LockId M, const LockState &LS) {
     if (LS.Holder == T)
       Held.push_back(M);
-  std::sort(Held.begin(), Held.end());
+  });
   for (LockId M : Held) {
     Repairs.AbandonedLocks++;
-    emit(Event::release(T, M), Out);
+    emitSynthesized(Event::release(T, M), Out);
   }
 }
 
@@ -105,9 +87,11 @@ bool TraceSanitizer::push(const Event &E, std::vector<Event> &Out,
     return false;
   ++EventIdx;
   bool Strict = Mode == SanitizeMode::Strict;
-  // Note: fork/join branches insert the child into Threads, which can rehash
-  // the map — take references only after all insertions for this event.
-  if (Threads[E.Thread].Joined) {
+  // Each case checks E and, when E is kept, advances the state for it, so
+  // an input event costs one switch. References into Threads stay valid
+  // when the fork/join child is inserted (IdTable).
+  ThreadState &TS = Threads[E.Thread];
+  if (TS.Joined) {
     if (Strict)
       return reject("thread acts after being joined", SourceLine);
     Repairs.PostJoinEvents++;
@@ -116,27 +100,30 @@ bool TraceSanitizer::push(const Event &E, std::vector<Event> &Out,
 
   switch (E.Kind) {
   case Op::Begin:
+    TS.Depth++;
+    break;
+
   case Op::Read:
   case Op::Write:
     break; // always well-formed
 
   case Op::End:
-    if (Threads[E.Thread].Depth <= 0) {
+    if (TS.Depth <= 0) {
       if (Strict)
         return reject("end without matching begin", SourceLine);
       Repairs.UnmatchedEnds++;
       return true;
     }
+    TS.Depth--;
     break;
 
   case Op::Acquire: {
-    auto It = Locks.find(E.lock());
-    if (It != Locks.end()) {
-      if (It->second.Holder == E.Thread) {
+    if (LockState *LS = Locks.find(E.lock())) {
+      if (LS->Holder == E.Thread) {
         if (Strict)
           return reject("re-entrant acquire (should be filtered)",
                         SourceLine);
-        It->second.Depth++;
+        LS->Depth++;
         Repairs.ReentrantAcquires++;
         return true;
       }
@@ -145,23 +132,25 @@ bool TraceSanitizer::push(const Event &E, std::vector<Event> &Out,
       Repairs.ForeignAcquires++;
       return true;
     }
+    Locks[E.lock()] = {E.Thread, 1};
     break;
   }
 
   case Op::Release: {
-    auto It = Locks.find(E.lock());
-    if (It == Locks.end() || It->second.Holder != E.Thread) {
+    LockState *LS = Locks.find(E.lock());
+    if (!LS || LS->Holder != E.Thread) {
       if (Strict)
         return reject("release of a lock not held by this thread",
                       SourceLine);
       Repairs.UnheldReleases++;
       return true;
     }
-    if (It->second.Depth > 1) {
+    if (LS->Depth > 1) {
       // Matching release of a filtered re-entrant acquire (counted there).
-      It->second.Depth--;
+      LS->Depth--;
       return true;
     }
+    Locks.erase(E.lock());
     break;
   }
 
@@ -187,6 +176,7 @@ bool TraceSanitizer::push(const Event &E, std::vector<Event> &Out,
       Repairs.OrphanForks++;
       return true;
     }
+    Child.Forked = true;
     break;
   }
 
@@ -210,13 +200,15 @@ bool TraceSanitizer::push(const Event &E, std::vector<Event> &Out,
     // permits both.)
     if (!Strict) {
       releaseHeldLocks(E.child(), Out);
-      closeOpenBlocks(E.child(), Threads[E.child()], Out);
+      closeOpenBlocks(E.child(), Child, Out);
     }
+    Child.Joined = true;
     break;
   }
   }
 
-  emit(E, Out);
+  TS.Ran = true;
+  Out.push_back(E);
   return true;
 }
 
@@ -224,20 +216,18 @@ bool TraceSanitizer::finish(std::vector<Event> &Out) {
   if (Failed)
     return false;
   if (Mode == SanitizeMode::Lenient) {
-    // Snapshot and sort: the synthesis helpers only touch existing
-    // entries, but iterating the unordered maps directly would make the
-    // synthesized-event order depend on hashing. Every thread ends at
-    // trace finish, so threads with open blocks *or* held locks get their
-    // tail synthesized, releases first (inside the block).
+    // Every thread ends at trace finish, so threads with open blocks *or*
+    // held locks get their tail synthesized, releases first (inside the
+    // block), in ascending thread order.
     std::vector<Tid> Open;
-    for (const auto &[T, TS] : Threads)
+    Threads.forEach([&](Tid T, const ThreadState &TS) {
       if (TS.Depth > 0)
         Open.push_back(T);
-    for (const auto &[M, LS] : Locks) {
-      (void)M;
+    });
+    Locks.forEach([&](LockId, const LockState &LS) {
       if (std::find(Open.begin(), Open.end(), LS.Holder) == Open.end())
         Open.push_back(LS.Holder);
-    }
+    });
     std::sort(Open.begin(), Open.end());
     for (Tid T : Open) {
       releaseHeldLocks(T, Out);
@@ -249,30 +239,20 @@ bool TraceSanitizer::finish(std::vector<Event> &Out) {
 
 void TraceSanitizer::serialize(SnapshotWriter &W) const {
   W.u8(Mode == SanitizeMode::Lenient ? 1 : 0);
-  std::vector<Tid> Tids;
-  for (const auto &KV : Threads)
-    Tids.push_back(KV.first);
-  std::sort(Tids.begin(), Tids.end());
-  W.u64(Tids.size());
-  for (Tid T : Tids) {
-    const ThreadState &TS = Threads.at(T);
+  W.u64(Threads.size());
+  Threads.forEach([&](Tid T, const ThreadState &TS) {
     W.u32(T);
     W.u64(static_cast<uint64_t>(TS.Depth));
     W.boolean(TS.Ran);
     W.boolean(TS.Forked);
     W.boolean(TS.Joined);
-  }
-  std::vector<LockId> LockIds;
-  for (const auto &KV : Locks)
-    LockIds.push_back(KV.first);
-  std::sort(LockIds.begin(), LockIds.end());
-  W.u64(LockIds.size());
-  for (LockId M : LockIds) {
-    const LockState &LS = Locks.at(M);
+  });
+  W.u64(Locks.size());
+  Locks.forEach([&](LockId M, const LockState &LS) {
     W.u32(M);
     W.u32(LS.Holder);
     W.u32(LS.Depth);
-  }
+  });
   W.u64(Repairs.ReentrantAcquires);
   W.u64(Repairs.ForeignAcquires);
   W.u64(Repairs.UnheldReleases);

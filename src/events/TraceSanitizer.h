@@ -50,9 +50,9 @@
 
 #include "analysis/Snapshot.h"
 #include "events/Trace.h"
+#include "support/IdTable.h"
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace velo {
@@ -136,8 +136,8 @@ private:
   /// Record a strict-mode rejection. Always returns false.
   bool reject(const std::string &Msg, size_t SourceLine);
 
-  /// Emit E and advance the well-formedness state machine.
-  void emit(const Event &E, std::vector<Event> &Out);
+  /// Emit a synthesized `end` or release and advance the state for it.
+  void emitSynthesized(const Event &E, std::vector<Event> &Out);
 
   /// Synthesize `end` events closing T's open blocks.
   void closeOpenBlocks(Tid T, ThreadState &TS, std::vector<Event> &Out);
@@ -146,8 +146,8 @@ private:
   void releaseHeldLocks(Tid T, std::vector<Event> &Out);
 
   SanitizeMode Mode;
-  std::unordered_map<Tid, ThreadState> Threads;
-  std::unordered_map<LockId, LockState> Locks;
+  IdTable<ThreadState> Threads;
+  IdTable<LockState> Locks;
   RepairCounts Repairs;
   std::string Error;
   size_t EventIdx = 0; ///< input events seen (for diagnostics)

@@ -2,7 +2,6 @@
 
 #include "hbrace/HbRaceDetector.h"
 
-#include <algorithm>
 #include <vector>
 
 namespace velo {
@@ -24,38 +23,26 @@ bool readClock(SnapshotReader &R, VectorClock &C) {
   return !R.failed();
 }
 
-template <typename MapT> std::vector<typename MapT::key_type>
-sortedKeys(const MapT &M) {
-  std::vector<typename MapT::key_type> Keys;
-  for (const auto &KV : M)
-    Keys.push_back(KV.first);
-  std::sort(Keys.begin(), Keys.end());
-  return Keys;
-}
-
 } // namespace
 
 void HbRaceDetector::serialize(SnapshotWriter &W) const {
   serializeBase(W);
-  std::vector<Tid> Tids = sortedKeys(ThreadClocks);
-  W.u64(Tids.size());
-  for (Tid T : Tids) {
+  W.u64(ThreadClocks.size());
+  ThreadClocks.forEach([&](Tid T, const VectorClock &C) {
     W.u32(T);
-    writeClock(W, ThreadClocks.at(T));
-  }
-  std::vector<LockId> LockIds = sortedKeys(LockClocks);
-  W.u64(LockIds.size());
-  for (LockId M : LockIds) {
+    writeClock(W, C);
+  });
+  W.u64(LockClocks.size());
+  LockClocks.forEach([&](LockId M, const VectorClock &C) {
     W.u32(M);
-    writeClock(W, LockClocks.at(M));
-  }
-  std::vector<VarId> VarIds = sortedKeys(Vars);
-  W.u64(VarIds.size());
-  for (VarId X : VarIds) {
+    writeClock(W, C);
+  });
+  W.u64(Vars.size());
+  Vars.forEach([&](VarId X, const VarClocks &V) {
     W.u32(X);
-    writeClock(W, Vars.at(X).Reads);
-    writeClock(W, Vars.at(X).Writes);
-  }
+    writeClock(W, V.Reads);
+    writeClock(W, V.Writes);
+  });
   W.u64(RacyVars.size());
   for (VarId X : RacyVars)
     W.u32(X);
@@ -76,9 +63,9 @@ bool HbRaceDetector::deserialize(SnapshotReader &R) {
   }
   uint64_t NumVars = R.u64();
   for (uint64_t I = 0; I < NumVars && !R.failed(); ++I) {
-    VarId X = R.u32();
-    readClock(R, Vars[X].Reads);
-    readClock(R, Vars[X].Writes);
+    VarClocks &V = Vars[R.u32()];
+    readClock(R, V.Reads);
+    readClock(R, V.Writes);
   }
   uint64_t NumRacy = R.u64();
   for (uint64_t I = 0; I < NumRacy && !R.failed(); ++I)
@@ -95,9 +82,8 @@ void HbRaceDetector::beginAnalysis(const SymbolTable &Syms) {
 }
 
 VectorClock &HbRaceDetector::threadClock(Tid T) {
-  auto It = ThreadClocks.find(T);
-  if (It != ThreadClocks.end())
-    return It->second;
+  if (VectorClock *C = ThreadClocks.find(T))
+    return *C;
   VectorClock &C = ThreadClocks[T];
   C.set(T, 1); // each thread starts in its own epoch
   return C;

@@ -13,9 +13,9 @@
 
 #include "analysis/Backend.h"
 #include "hbrace/VectorClock.h"
+#include "support/IdTable.h"
 
 #include <set>
-#include <unordered_map>
 
 namespace velo {
 
@@ -43,9 +43,9 @@ private:
   VectorClock &threadClock(Tid T);
   void reportRace(const Event &E, Tid Witness, const char *PriorKind);
 
-  std::unordered_map<Tid, VectorClock> ThreadClocks;
-  std::unordered_map<LockId, VectorClock> LockClocks;
-  std::unordered_map<VarId, VarClocks> Vars;
+  IdTable<VectorClock> ThreadClocks;
+  IdTable<VectorClock> LockClocks;
+  IdTable<VarClocks> Vars;
   std::set<VarId> RacyVars;
 };
 

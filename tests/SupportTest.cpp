@@ -1,6 +1,7 @@
 //===- tests/SupportTest.cpp - Support library unit tests -----------------===//
 
 #include "support/DotWriter.h"
+#include "support/IdTable.h"
 #include "support/Rng.h"
 #include "support/SlotBitset.h"
 #include "support/Stats.h"
@@ -11,6 +12,9 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace velo {
 namespace {
@@ -166,6 +170,75 @@ TEST(StatsTest, HighWaterTracksPeak) {
   H.inc(1);
   EXPECT_EQ(H.current(), 2u);
   EXPECT_EQ(H.peak(), 5u);
+}
+
+// --- IdTable ---
+
+TEST(IdTableTest, PresenceEraseReinsertAndSize) {
+  IdTable<int> T;
+  EXPECT_EQ(T.size(), 0u);
+  EXPECT_EQ(T.find(3), nullptr);
+  EXPECT_EQ(T.pagesAllocated(), 0u) << "find never allocates";
+  T[3] = 7;
+  T[300] = 9;
+  EXPECT_EQ(T.size(), 2u);
+  ASSERT_NE(T.find(3), nullptr);
+  EXPECT_EQ(*T.find(3), 7);
+  EXPECT_EQ(T.find(4), nullptr) << "a neighbour on the same page is absent";
+  EXPECT_EQ(T[4], 0) << "operator[] default-constructs on first touch";
+  EXPECT_EQ(T.size(), 3u);
+
+  EXPECT_TRUE(T.erase(3));
+  EXPECT_FALSE(T.erase(3)) << "already absent";
+  EXPECT_FALSE(T.erase(100000)) << "never touched";
+  EXPECT_EQ(T.find(3), nullptr);
+  EXPECT_EQ(T.size(), 2u);
+  EXPECT_EQ(T[3], 0) << "re-insert after erase starts from a default entry";
+  EXPECT_EQ(T.size(), 3u);
+
+  T.clear();
+  EXPECT_EQ(T.size(), 0u);
+  EXPECT_EQ(T.find(300), nullptr);
+  EXPECT_EQ(T.pagesAllocated(), 0u);
+}
+
+TEST(IdTableTest, ForEachVisitsPresentIdsInAscendingOrder) {
+  IdTable<std::string> T;
+  const uint32_t Ids[] = {70000, 5, 256, 63, 64, 255, 0, 1048575, 511};
+  for (uint32_t Id : Ids)
+    T[Id] = "v" + std::to_string(Id);
+  T.erase(64);
+  std::vector<std::pair<uint32_t, std::string>> Seen;
+  T.forEach([&](uint32_t Id, const std::string &V) { Seen.push_back({Id, V}); });
+  std::vector<std::pair<uint32_t, std::string>> Want;
+  for (uint32_t Id : {0u, 5u, 63u, 255u, 256u, 511u, 70000u, 1048575u})
+    Want.push_back({Id, "v" + std::to_string(Id)});
+  EXPECT_EQ(Seen, Want);
+}
+
+TEST(IdTableTest, ReferencesSurviveLaterInsertions) {
+  IdTable<std::vector<int>> T;
+  std::vector<int> &Ref = T[7];
+  Ref.push_back(42);
+  const std::vector<int> *Addr = &Ref;
+  for (uint32_t Id = 8; Id < 10008; ++Id)
+    T[Id].push_back(static_cast<int>(Id));
+  EXPECT_EQ(T.find(7), Addr) << "the entry did not move";
+  Ref.push_back(43); // still the live entry
+  EXPECT_EQ(*T.find(7), (std::vector<int>{42, 43}));
+  EXPECT_EQ(T.size(), 10001u);
+}
+
+TEST(IdTableTest, FarApartIdsCostOnePageEach) {
+  // A lenient trace may name thread 2^20-1 next to thread 0: the table
+  // pays for two pages, not for every id in between.
+  IdTable<uint64_t> T;
+  T[0] = 1;
+  T[(1u << 20) - 1] = 2;
+  EXPECT_EQ(T.pagesAllocated(), 2u);
+  EXPECT_EQ(T.size(), 2u);
+  EXPECT_EQ(T.find(1u << 19), nullptr);
+  EXPECT_EQ(T.pagesAllocated(), 2u);
 }
 
 // --- TablePrinter ---

@@ -912,6 +912,130 @@ TEST(ConvertCliTest, UsageErrorsExitTwo) {
             2);
 }
 
+TEST(CheckCliTest, HighestThreadIdReportsLikeALowOne) {
+  // Thread 1048575 is the largest a trace may name. Every back-end must
+  // report on it exactly as on the same trace with that thread renamed T1,
+  // apart from the name and the header's thread count.
+  std::string Dir = ::testing::TempDir();
+  std::string High = Dir + "/velo_tid_high.trace",
+              Low = Dir + "/velo_tid_low.trace";
+  const std::string Body = "T0 begin a\nT0 acq n\nT0 acq m\nT0 rd x\n"
+                           "T0 rel m\nT0 rel n\nTX begin b\nTX acq m\n"
+                           "TX acq n\nTX wr x\nTX rel n\nTX rel m\n"
+                           "TX wr y\nTX end\nT0 rd y\nT0 wr x\nT0 end\n";
+  std::string HighBody = Body, LowBody = Body;
+  replaceAll(HighBody, "TX", "T1048575");
+  replaceAll(LowBody, "TX", "T1");
+  std::ofstream(High) << HighBody;
+  std::ofstream(Low) << LowBody;
+  for (const char *Backend :
+       {"velodrome", "aero", "atomizer", "eraser", "hb", "deadlock"}) {
+    std::string Cmd =
+        std::string(VELO_CHECK_BIN) + " --backend=" + Backend + " ";
+    std::string HighOut, LowOut;
+    int HighCode = runCmdAll(Cmd + High, HighOut);
+    int LowCode = runCmdAll(Cmd + Low, LowOut);
+    EXPECT_EQ(HighCode, LowCode) << Backend;
+    EXPECT_EQ(LowOut.find("] 0 warning(s)"), std::string::npos)
+        << Backend << " reports nothing on the trace:\n" << LowOut;
+    replaceAll(HighOut, High + ": 17 events, 1048576 threads",
+               "TRACE: 17 events, 2 threads");
+    replaceAll(LowOut, Low, "TRACE");
+    replaceAll(HighOut, "T1048575", "T1");
+    EXPECT_EQ(HighOut, LowOut) << Backend;
+  }
+  std::remove(High.c_str());
+  std::remove(Low.c_str());
+}
+
+/// The sorted names of the entries in Dir.
+std::vector<std::string> dirEntries(const std::string &Dir) {
+  std::vector<std::string> Names;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    Names.push_back(E.path().filename().string());
+  std::sort(Names.begin(), Names.end());
+  return Names;
+}
+
+TEST(ConvertCliTest, FailedConversionLeavesTheOutputUntouched) {
+  // The output is written beside its path and renamed over it only on
+  // success: a conversion that fails on its input leaves an existing
+  // output byte for byte, and leaves no temporary behind.
+  std::string Dir = ::testing::TempDir() + "/velo_conv_keep";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir + "/adir");
+  std::string Keep = Dir + "/keep.trace", Bad = Dir + "/bad.trace";
+  std::ofstream(Bad) << "T0 rd x\nT1 garbage y\n";
+  ASSERT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " " +
+                   dataFile("set_add.trace") + " " + Keep),
+            0);
+  std::string Before = readFileBytes(Keep);
+  ASSERT_FALSE(Before.empty());
+  for (const std::string &In : {Dir + "/adir", Bad})
+    for (const char *To : {"--to=text", "--to=binary"}) {
+      EXPECT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " " + To + " " + In +
+                       " " + Keep),
+                2)
+          << In << " " << To;
+      EXPECT_EQ(readFileBytes(Keep), Before) << In << " " << To;
+    }
+  EXPECT_EQ(dirEntries(Dir),
+            (std::vector<std::string>{"adir", "bad.trace", "keep.trace"}));
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ConvertCliTest, ConversionOntoItsOwnInputPathSucceeds) {
+  // Converting in place reads the whole input before the output replaces
+  // it: the result equals a conversion to another path.
+  std::string Dir = ::testing::TempDir() + "/velo_conv_self";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  std::string Self = Dir + "/self.trace", Other = Dir + "/other.trace";
+  std::filesystem::copy_file(dataFile("intro_cycle.trace"), Self);
+  ASSERT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " " + Self + " " + Other),
+            0);
+  ASSERT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " --to=text " + Self +
+                   " " + Self),
+            0);
+  EXPECT_FALSE(readFileBytes(Self).empty());
+  EXPECT_EQ(readFileBytes(Self), readFileBytes(Other));
+
+  std::string Bin = Dir + "/self.vtrc", BinOther = Dir + "/other.vtrc";
+  ASSERT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " " + Self + " " + Bin),
+            0);
+  ASSERT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " " + Bin + " " +
+                   BinOther),
+            0);
+  ASSERT_EQ(runCmd(std::string(VELO_CONVERT_BIN) + " " + Bin + " " + Bin), 0);
+  EXPECT_EQ(readFileBytes(Bin), readFileBytes(BinOther));
+  EXPECT_EQ(dirEntries(Dir),
+            (std::vector<std::string>{"other.trace", "other.vtrc",
+                                      "self.trace", "self.vtrc"}));
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ConvertCliTest, FifoOutputIsWrittenThroughNotReplaced) {
+  // Only a regular output is replaced by a rename; a FIFO or device (say
+  // /dev/null) is written through and stays what it was.
+  std::string Dir = ::testing::TempDir() + "/velo_conv_fifo";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  std::string Fifo = Dir + "/out.fifo", Got = Dir + "/got.trace",
+              Want = Dir + "/want.trace";
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+  std::string Convert = std::string(VELO_CONVERT_BIN) + " --to=text " +
+                        dataFile("intro_cycle.trace") + " ";
+  ASSERT_EQ(runCmd(Convert + Want), 0);
+  EXPECT_EQ(runCmd("(timeout 10 cat " + Fifo + " > " + Got + " & " +
+                   Convert + Fifo + "; S=$?; wait; exit $S)"),
+            0);
+  struct stat St;
+  ASSERT_EQ(::stat(Fifo.c_str(), &St), 0);
+  EXPECT_TRUE(S_ISFIFO(St.st_mode));
+  EXPECT_EQ(readFileBytes(Got), readFileBytes(Want));
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(ConvertCliTest, BinaryTextBinaryIsAFixpointOnEveryGoldenTrace) {
   std::string Tmp = ::testing::TempDir();
   for (const std::string &T : goldenTraces()) {

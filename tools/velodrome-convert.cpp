@@ -20,6 +20,12 @@
 // byte-identical fixpoint: the writer's canonical first-use symbol order
 // is exactly the order the text parser re-interns.
 //
+// The output goes to a temporary file beside <out-trace> and is renamed
+// over it only when the whole conversion succeeds, so a failed conversion
+// leaves an existing <out-trace> as it was, and converting a text trace
+// onto its own path works. An <out-trace> that exists and is not a regular
+// file (a FIFO, /dev/null) is written in place.
+//
 // Exit status: 0 converted, 2 usage/input/parse error.
 //
 //===----------------------------------------------------------------------===//
@@ -36,6 +42,7 @@
 #include <fstream>
 #include <string>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "support/Syscalls.h"
@@ -60,6 +67,16 @@ void usage() {
       "exit: 0 converted, 2 usage/input/parse error\n",
       BinaryTraceWriter::DefaultFrameEvents);
 }
+
+/// A temporary file beside the output, removed unless renamed over it.
+struct PendingOutput {
+  std::string Tmp;
+  bool Renamed = false;
+  ~PendingOutput() {
+    if (!Tmp.empty() && !Renamed)
+      std::remove(Tmp.c_str());
+  }
+};
 
 } // namespace
 
@@ -157,7 +174,29 @@ int main(int argc, char **argv) {
                  static_cast<unsigned long long>(Salv.EventsKept),
                  static_cast<unsigned long long>(Salv.BytesDropped));
 
-  std::ofstream Out(OutFile, std::ios::binary | std::ios::trunc);
+  // A device or FIFO (say /dev/null) is written in place: renaming a
+  // file over it would replace the node itself.
+  struct stat OutStat;
+  bool InPlace = ::stat(OutFile.c_str(), &OutStat) == 0 &&
+                 !S_ISREG(OutStat.st_mode);
+  PendingOutput Pending;
+  std::string Tmp = OutFile;
+  if (!InPlace) {
+    Tmp += ".XXXXXX";
+    int Fd = ::mkstemp(Tmp.data());
+    if (Fd < 0) {
+      std::fprintf(stderr, "error: cannot open %s for writing\n",
+                   OutFile.c_str());
+      return 2;
+    }
+    Pending.Tmp = Tmp;
+    // mkstemp creates 0600; give the output the mode a plain create would.
+    mode_t Mask = ::umask(0);
+    ::umask(Mask);
+    ::fchmod(Fd, 0666 & ~Mask);
+    sys::closeQuiet(Fd);
+  }
+  std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
   if (!Out) {
     std::fprintf(stderr, "error: cannot open %s for writing\n",
                  OutFile.c_str());
@@ -192,12 +231,14 @@ int main(int argc, char **argv) {
                    pathError(InFile, Src->error()).c_str());
       return 2;
     }
-    Out.flush();
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n", OutFile.c_str());
-      return 2;
-    }
   }
+  Out.close();
+  if (!Out ||
+      (!InPlace && std::rename(Tmp.c_str(), OutFile.c_str()) != 0)) {
+    std::fprintf(stderr, "error: cannot write %s\n", OutFile.c_str());
+    return 2;
+  }
+  Pending.Renamed = true;
 
   std::fprintf(stderr, "converted %llu events: %s -> %s (%s)\n",
                static_cast<unsigned long long>(Converted), InFile.c_str(),
